@@ -16,13 +16,13 @@ import click
 from .errors import (
     EmptyInstance,
     InstanceTooLarge,
-    ParseError,
     PrivauctionError,
     ValidationError,
 )
 from .estimator import evaluate
 from .instances import (
     ValueInterval,
+    _load_json,
     canonicalize,
     filter_assumption1,
     parse_database,
@@ -63,18 +63,6 @@ def _classify(error: Exception) -> int:
     return EXIT_INPUT
 
 
-def _load_document(path: str) -> dict:
-    try:
-        with open(path) as handle:
-            return json.load(handle)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-
-
 def _prepare(document: dict, arithmetic: str):
     """Parse, filter, and canonicalize; returns everything needed for reports."""
     instance = parse_instance(document)
@@ -88,7 +76,8 @@ def _prepare(document: dict, arithmetic: str):
 
 def _expand(values, removed: list[int], n_original: int, fill=0.0) -> list:
     """Scatter per-survivor values back into original index order."""
-    kept = [i for i in range(n_original) if i not in set(removed)]
+    gone = set(removed)
+    kept = [i for i in range(n_original) if i not in gone]
     out = [fill] * n_original
     for value, original in zip(values, kept):
         out[original] = value
@@ -110,7 +99,7 @@ def main() -> None:
 def cmd_run(instance_path, compare_opt, use_database, seed, output, arithmetic):
     """Run the auction on an instance file and print the outcome."""
     try:
-        document = _load_document(instance_path)
+        document = _load_json(instance_path)
         original, filtered, canonical, perm, removed, database = _prepare(document, arithmetic)
         outcome = fair_inner_product(canonical, identity=perm)
     except PrivauctionError as exc:
@@ -118,7 +107,8 @@ def cmd_run(instance_path, compare_opt, use_database, seed, output, arithmetic):
 
     survivors_json = outcome.to_json(perm)  # survivor (filtered) index order
     n0 = original.n
-    kept = [i for i in range(n0) if i not in set(removed)]
+    gone = set(removed)
+    kept = [i for i in range(n0) if i not in gone]
     report = {
         "O": sorted(kept[i] for i in survivors_json["O"]),
         "payments": _expand(survivors_json["payments"], removed, n0),
@@ -203,7 +193,7 @@ def cmd_run(instance_path, compare_opt, use_database, seed, output, arithmetic):
 def cmd_verify(config_path, mutate, seed, instances, arithmetic, threads, skip_approximation, output):
     """Run property sweeps; exit 0 only when every property holds everywhere."""
     try:
-        data = _load_document(config_path) if config_path else {}
+        data = _load_json(config_path) if config_path else {}
         if seed is not None:
             data["rng_seed"] = seed
         if instances is not None:
@@ -296,9 +286,9 @@ def cmd_weights(features_csv, query, query_csv, method, k, kernel, bandwidth, la
 @click.option("--arithmetic", type=click.Choice(["float", "rational"]), default="float", show_default=True)
 @click.option("--output", type=click.Choice(["json", "csv"]), default="json", show_default=True)
 def cmd_oracle(instance_path, arithmetic, output):
-    """Exhaustive optimum of the filtered instance (desk scale only)."""
+    """Exact integer optimum of the filtered instance (desk scale only)."""
     try:
-        document = _load_document(instance_path)
+        document = _load_json(instance_path)
         original, filtered, canonical, perm, removed, _ = _prepare(document, arithmetic)
         oracle = brute_force_opt(canonical)
     except PrivauctionError as exc:
@@ -325,7 +315,7 @@ def cmd_oracle(instance_path, arithmetic, output):
 def cmd_fractional(instance_path, arithmetic, output):
     """Closed-form continuous optimum of the filtered instance."""
     try:
-        document = _load_document(instance_path)
+        document = _load_json(instance_path)
         original, filtered, canonical, perm, removed, _ = _prepare(document, arithmetic)
         fractional = fractional_optimum(canonical)
     except PrivauctionError as exc:

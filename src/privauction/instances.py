@@ -381,7 +381,8 @@ def parse_database(data: dict, instance: AuctionInstance) -> Database | None:
 def _load_json(source) -> dict:
     if isinstance(source, (str, Path)):
         try:
-            text = Path(source).read_text()
+            with open(source) as handle:
+                text = handle.read()
         except OSError as exc:
             raise ParseError(f"cannot read {source}: {exc}") from exc
     else:

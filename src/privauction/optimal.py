@@ -3,17 +3,15 @@
 The continuous benchmark fills the cheapest individuals completely, one
 individual fractionally, and nothing beyond, with the crossover chosen so the
 tight individually-rational payments exhaust the budget exactly. The integer
-oracle enumerates every binary participation vector (desk scale only) and is
-the ground truth the mechanism's approximation guarantees are measured
-against.
+oracle is an exact knapsack branch-and-bound (desk scale only) that returns
+the lexicographically smallest optimal participation vector; it is the ground
+truth the mechanism's approximation guarantees are measured against.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-
-import numpy as np
 
 from .errors import DegenerateAllOnes, InstanceTooLarge, NotCanonical
 from .instances import AuctionInstance
@@ -193,33 +191,22 @@ class OracleSolution:
         }
 
 
-_BITS_CACHE: dict[int, np.ndarray] = {}
-_BITS_CACHE_LIMIT = 14  # larger matrices are built transiently, not pinned
-
-
-def _bit_matrix(n: int) -> np.ndarray:
-    """All binary vectors of length n; row order equals lexicographic x order."""
-    cached = _BITS_CACHE.get(n)
-    if cached is None:
-        masks = np.arange(1 << n, dtype=np.int64)
-        cached = ((masks[:, None] >> (n - 1 - np.arange(n))) & 1).astype(np.float64)
-        if n <= _BITS_CACHE_LIMIT:
-            _BITS_CACHE[n] = cached
-    return cached
-
-
 def brute_force_opt(instance: AuctionInstance) -> OracleSolution:
-    """Enumerate every participation vector and return the exact optimum.
+    """Exact integer optimum by knapsack branch-and-bound (desk scale only).
 
     Feasibility uses tight payments: selected cost-weight must not exceed the
-    budget times the residual weight. Full participation is excluded (its
-    noise scale is zero), except in the all-costs-zero corner where it is free
-    and optimal by inspection. Ties resolve to the lexicographically smallest
-    vector.
+    budget times the residual weight, which is the single knapsack constraint
+    ``sum |w_i|(v_i + B) x_i <= B W`` with profit ``|w_i|``. A depth-first
+    search fixes ``x_i = 0`` before ``x_i = 1`` in index order and prunes a
+    node once its Dantzig bound cannot beat the incumbent, so ties resolve to
+    the lexicographically smallest optimal vector. Float and ``Fraction``
+    instances share the search; rational input is solved exactly. Full
+    participation is excluded (its noise scale is zero), except in the
+    all-costs-zero corner where it is free and optimal by inspection.
     """
     n = instance.n
     if n > ORACLE_LIMIT:
-        raise InstanceTooLarge(f"exhaustive oracle limited to n <= {ORACLE_LIMIT}")
+        raise InstanceTooLarge(f"exact oracle limited to n <= {ORACLE_LIMIT}")
     wabs = instance.abs_weights
     costs = instance.unit_costs
     budget = instance.budget
@@ -229,47 +216,50 @@ def brute_force_opt(instance: AuctionInstance) -> OracleSolution:
             (1,) * n, instance.total_weight, tuple(wabs[0] * 0 for _ in range(n))
         )
 
-    if any(isinstance(v, Fraction) for v in (*wabs, *costs, budget)):
-        return _brute_force_exact(instance)
+    sizes = [wabs[i] * (costs[i] + budget) for i in range(n)]
+    capacity = budget * instance.total_weight
+    # Dantzig bound order of the undecided items: ascending cost is descending
+    # profit/size, so on a canonical instance each tail is a plain index range.
+    by_cost = sorted(range(n), key=lambda i: costs[i])
+    tails = [[j for j in by_cost if j >= i] for i in range(n + 1)]
 
-    bits = _bit_matrix(n)
-    w = np.asarray(wabs, dtype=np.float64)
-    cw = np.asarray([costs[i] * wabs[i] for i in range(n)], dtype=np.float64)
-    objective = bits @ w
-    spent = bits @ cw
-    residual = float(instance.total_weight) - objective
-    feasible = spent <= float(budget) * residual
-    feasible[-1] = False  # full participation
-    best = objective[feasible].max()
-    winners = feasible & (objective == best)
-    m = int(np.argmax(winners))  # first winner = lexicographically smallest x
-    x = tuple(int(b) for b in bits[m])
-    resid = instance.total_weight - instance.weight_of(i for i in range(n) if x[i])
-    payments = tuple(costs[i] * wabs[i] * x[i] / resid for i in range(n))
-    return OracleSolution(x, float(best), payments)
+    def dantzig(i, value, used):
+        """LP bound on the best value reachable with items i.. undecided."""
+        for j in tails[i]:
+            if used + sizes[j] > capacity:
+                return value + wabs[j] * (capacity - used) / sizes[j]
+            used += sizes[j]
+            value += wabs[j]
+        return value
 
+    zero = wabs[0] * 0
+    x = [0] * n
+    best_x = tuple(x)
+    best = zero
 
-def _brute_force_exact(instance: AuctionInstance) -> OracleSolution:
-    """Pure-python enumeration preserving exact arithmetic (rational mode)."""
-    n = instance.n
-    wabs = instance.abs_weights
-    costs = instance.unit_costs
-    budget = instance.budget
-    total = instance.total_weight
-    best_obj = None
-    best_x = None
-    for mask in range(1 << n):
-        if mask == (1 << n) - 1:
-            continue
-        x = [(mask >> (n - 1 - i)) & 1 for i in range(n)]
-        obj = sum(wabs[i] for i in range(n) if x[i])
-        spent = sum(costs[i] * wabs[i] for i in range(n) if x[i])
-        if spent <= budget * (total - obj) and (best_obj is None or obj > best_obj):
-            best_obj = obj
-            best_x = tuple(x)
-    resid = total - best_obj
+    def visit(i, value, used, chosen, bound):
+        """Search below a node whose bound beats the incumbent."""
+        nonlocal best, best_x
+        if i == n:
+            if chosen < n and value > best:  # full participation stays excluded
+                best, best_x = value, tuple(x)
+            return
+        skip = dantzig(i + 1, value, used)
+        if skip > best:
+            visit(i + 1, value, used, chosen, skip)
+        # Taking i only narrows the subtree, so the parent's bound holds.
+        if bound > best and used + sizes[i] <= capacity:
+            x[i] = 1
+            visit(i + 1, value + wabs[i], used + sizes[i], chosen + 1, bound)
+            x[i] = 0
+
+    root = dantzig(0, zero, zero)
+    if root > best:
+        visit(0, zero, zero, 0, root)
+    resid = instance.total_weight - instance.weight_of(i for i in range(n) if best_x[i])
     payments = tuple(costs[i] * wabs[i] * best_x[i] / resid for i in range(n))
-    return OracleSolution(best_x, best_obj, payments)
+    objective = best if isinstance(best, Fraction) else float(best)
+    return OracleSolution(best_x, objective, payments)
 
 
 @dataclass(frozen=True)

@@ -136,7 +136,8 @@ def _drop_negligible(
     total = float(np.sum(np.abs(raw)))
     threshold = drop_tol * total
     kept = [i for i, w in enumerate(raw) if abs(float(w)) > threshold and float(w) != 0.0]
-    dropped = [i for i in range(len(raw)) if i not in set(kept)]
+    kept_set = set(kept)
+    dropped = [i for i in range(len(raw)) if i not in kept_set]
     return DerivedWeights(
         tuple(float(raw[i]) for i in kept), tuple(kept), tuple(dropped), method
     )

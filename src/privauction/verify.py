@@ -288,7 +288,8 @@ def _deviation_utility(reported_instance, i: int, true_cost, mutation: str | Non
         return 0
     if i in removed:
         return 0
-    survivor_pos = sum(1 for j in range(i) if j not in set(removed))
+    gone = set(removed)
+    survivor_pos = sum(1 for j in range(i) if j not in gone)
     canonical, perm = canonicalize(filtered)
     outcome = fair_inner_product(canonical, identity=perm, mutation=mutation)
     return _utility(outcome, perm.to_sorted[survivor_pos], true_cost)

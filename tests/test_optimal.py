@@ -20,7 +20,7 @@ from privauction import (
     kkt_certificate,
     opt_bounds_check,
 )
-from privauction.verify import hardness_instance
+from privauction.verify import SweepConfig, generate_instance, hardness_instance
 
 from conftest import UNIT, make_instance
 
@@ -39,6 +39,31 @@ def reference_feasible(inst, x):
     )
     residual = sum(inst.abs_weights[i] for i in range(inst.n) if not x[i])
     return spent <= inst.budget * residual
+
+
+def reference_optimum(inst):
+    """Independent oracle: plain enumeration in lexicographic order (n <= 14).
+
+    Returns the lexicographically smallest optimal vector and its objective;
+    exact on rational instances.
+    """
+    n = inst.n
+    wabs = inst.abs_weights
+    costs = inst.unit_costs
+    if all(v == 0 for v in costs):
+        return (1,) * n, inst.total_weight
+    best_x, best = None, None
+    for x in itertools.product((0, 1), repeat=n):
+        if all(x):
+            continue
+        spent = sum(costs[i] * wabs[i] for i in range(n) if x[i])
+        residual = sum(wabs[i] for i in range(n) if not x[i])
+        if spent > inst.budget * residual:
+            continue
+        value = sum(wabs[i] for i in range(n) if x[i])
+        if best is None or value > best:
+            best_x, best = x, value
+    return best_x, best
 
 
 class TestFractionalOptimum:
@@ -209,6 +234,91 @@ class TestBruteForceOpt:
         sol = brute_force_opt(inst)
         assert sol.objective == Fraction(2)
         assert sol.x == (1, 0, 0, 1)
+
+
+class TestBranchAndBoundCrossCheck:
+    """The search against plain enumeration on every instance family."""
+
+    @staticmethod
+    def check_float(inst):
+        """Objective within rounding, feasible x; returns (x, reference x)."""
+        sol = brute_force_opt(inst)
+        x, best = reference_optimum(inst)
+        assert isinstance(sol.objective, float)
+        assert sol.objective == pytest.approx(best, rel=1e-12)
+        assert reference_feasible(inst, sol.x)
+        return sol.x, x
+
+    @staticmethod
+    def check_exact(inst):
+        sol = brute_force_opt(inst)
+        x, best = reference_optimum(inst)
+        assert isinstance(sol.objective, Fraction)
+        assert (sol.x, sol.objective) == (x, best)
+
+    def test_signed_floats_any_order(self):
+        rng = np.random.default_rng(41)
+        for _ in range(60):
+            n = int(rng.integers(2, 13))
+            inst = make_instance(
+                rng.lognormal(0, 1, n) * rng.choice([-1.0, 1.0], n),
+                rng.uniform(0, 2, n),  # unsorted: the bound must reorder
+                float(rng.uniform(0.1, 4)),
+            )
+            self.check_float(inst)
+
+    def test_uniform_weight_floats(self):
+        config = SweepConfig(n_range=(2, 12), weight_distribution="uniform", rng_seed=42)
+        for index in range(60):
+            self.check_float(generate_instance(config, index))
+
+    def test_integer_grid_float_and_rational(self):
+        config = SweepConfig(
+            n_range=(2, 12),
+            weight_distribution="integer-grid",
+            cost_distribution="integer-grid",
+            rng_seed=43,
+        )
+        for index in range(40):
+            inst = generate_instance(config, index)
+            self.check_float(inst)
+            self.check_exact(inst.to_rational())
+
+    @pytest.mark.parametrize("budget", [0.3, 1.0, 3.0])
+    def test_all_equal_family(self, budget):
+        for n in range(2, 13):
+            inst = make_instance([1] * n, [1] * n, budget)
+            x, reference_x = self.check_float(inst)
+            assert x == reference_x
+            self.check_exact(inst.to_rational())
+
+    @pytest.mark.parametrize(
+        "weights, costs, budget",
+        [
+            ([1, 2, 3], [1, 2, 3], 0),
+            ([2, -1, 3, 1], [0, 0, 1, 2], 0),
+            ([1, 1, 1], [0, 0, 0], 0),
+            ([1, -2, 3], [0, 0, 0], 2),
+            ([3, 1, 2, 2], [0, 0, 0.5, 1], 1),
+            ([1, 1, 1, 1], [0, 0, 0, 1], 0.5),
+        ],
+    )
+    def test_zero_budget_and_zero_cost_corners(self, weights, costs, budget):
+        inst = make_instance(weights, costs, budget)
+        x, reference_x = self.check_float(inst)
+        assert x == reference_x
+        self.check_exact(inst.to_rational())
+
+    @pytest.mark.parametrize("index", [0, 27, 152])
+    def test_uniform_weight_ties_break_lexicographically(self, index):
+        # Equal objectives must compare equal whichever bits are set; the
+        # reference runs on the exact rational values of the same floats.
+        config = SweepConfig(
+            n_range=(2, 14), instance_count=300, weight_distribution="uniform", rng_seed=5
+        )
+        inst = generate_instance(config, index)
+        x, _ = reference_optimum(inst.to_rational())
+        assert brute_force_opt(inst).x == x
 
 
 class TestOptBoundsCheck:
