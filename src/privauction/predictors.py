@@ -136,8 +136,7 @@ def _drop_negligible(
     total = float(np.sum(np.abs(raw)))
     threshold = drop_tol * total
     kept = [i for i, w in enumerate(raw) if abs(float(w)) > threshold and float(w) != 0.0]
-    kept_set = set(kept)
-    dropped = [i for i in range(len(raw)) if i not in kept_set]
+    dropped = [i for i in range(len(raw)) if i not in set(kept)]
     return DerivedWeights(
         tuple(float(raw[i]) for i in kept), tuple(kept), tuple(dropped), method
     )
