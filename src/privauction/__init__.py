@@ -1,7 +1,8 @@
 """Privacy auctions for weighted linear predictors.
 
 Core pipeline: derive public weights from feature data, filter and
-canonicalize the auction instance, run the truthful budget-feasible
+canonicalize the auction instance (`prepare`, which also returns the map from
+canonical positions back to input rows), run the truthful budget-feasible
 mechanism, and audit the released Laplace estimator's privacy and accuracy
 against independent oracles.
 """
@@ -29,8 +30,6 @@ from .estimator import (
     PrivacyIndexResult,
     TradeoffReport,
     check_tradeoff_bound,
-    distortion,
-    epsilons,
     evaluate,
     privacy_index_exact,
     privacy_index_greedy,
@@ -44,6 +43,7 @@ from .instances import (
     canonicalize,
     filter_assumption1,
     load_instance,
+    prepare,
     save_instance,
 )
 from .mechanism import MechanismOutcome, fair_inner_product, ghosh_roth_special_case

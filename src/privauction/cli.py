@@ -3,7 +3,8 @@
 Exit codes are a stable contract: 0 success, 1 input problem, 2 empty
 instance after filtering, 3 property failure. stdout carries only the report;
 diagnostics and machine-readable error JSON go to stderr. All randomness
-flows from --seed.
+flows from --seed. Every report names individuals by their row in the input
+file, through the row map of `instances.prepare`.
 """
 
 import csv
@@ -23,10 +24,9 @@ from .estimator import evaluate
 from .instances import (
     ValueInterval,
     _load_json,
-    canonicalize,
-    filter_assumption1,
     parse_database,
     parse_instance,
+    prepare,
 )
 from .mechanism import fair_inner_product
 from .optimal import brute_force_opt, fractional_optimum
@@ -64,24 +64,13 @@ def _classify(error: Exception) -> int:
 
 
 def _prepare(document: dict, arithmetic: str):
-    """Parse, filter, and canonicalize; returns everything needed for reports."""
+    """Parse, filter and canonicalize; ``rows`` maps canonical positions to input rows."""
     instance = parse_instance(document)
     database = parse_database(document, instance)
     if arithmetic == "rational":
         instance = instance.to_rational()
-    filtered, removed = filter_assumption1(instance)
-    canonical, perm = canonicalize(filtered)
-    return instance, filtered, canonical, perm, removed, database
-
-
-def _expand(values, removed: list[int], n_original: int, fill=0.0) -> list:
-    """Scatter per-survivor values back into original index order."""
-    gone = set(removed)
-    kept = [i for i in range(n_original) if i not in gone]
-    out = [fill] * n_original
-    for value, original in zip(values, kept):
-        out[original] = value
-    return out
+    canonical, rows, removed = prepare(instance)
+    return instance, canonical, rows, removed, database
 
 
 @click.group()
@@ -100,73 +89,36 @@ def cmd_run(instance_path, compare_opt, use_database, seed, output, arithmetic):
     """Run the auction on an instance file and print the outcome."""
     try:
         document = _load_json(instance_path)
-        original, filtered, canonical, perm, removed, database = _prepare(document, arithmetic)
-        outcome = fair_inner_product(canonical, identity=perm)
+        original, canonical, rows, removed, database = _prepare(document, arithmetic)
+        outcome = fair_inner_product(canonical, identity=rows)
     except PrivauctionError as exc:
         _fail(_classify(exc), exc)
 
-    survivors_json = outcome.to_json(perm)  # survivor (filtered) index order
     n0 = original.n
-    gone = set(removed)
-    kept = [i for i in range(n0) if i not in gone]
-    report = {
-        "O": sorted(kept[i] for i in survivors_json["O"]),
-        "payments": _expand(survivors_json["payments"], removed, n0),
-        "k": survivors_json["k"],
-        "i_star": kept[survivors_json["i_star"]],
-        "branch": survivors_json["branch"],
-        "r": None if survivors_json["r"] is None else kept[survivors_json["r"]],
-        "p_hat": survivors_json["p_hat"],
-        "objective": survivors_json["objective"],
-        "removed": removed,
-        "dclef": {
-            "x": _expand(survivors_json["dclef"]["x"], removed, n0, fill=0),
-            "sigma": survivors_json["dclef"]["sigma"],
-            "epsilons": _expand(survivors_json["dclef"]["epsilons"], removed, n0),
-            "distortion": survivors_json["dclef"]["distortion"],
-        },
-    }
+    report = outcome.to_json(rows, n0)
+    report["removed"] = removed
 
     try:
         if compare_opt:
             oracle = brute_force_opt(canonical)
-            report["oracle"] = {
-                "objective": float(oracle.objective),
-                "x": _expand(perm.restore(oracle.x), removed, n0, fill=0),
-                "payments": _expand(
-                    [float(p) for p in perm.restore(oracle.payments)], removed, n0
-                ),
-            }
+            report["oracle"] = oracle.to_json(rows, n0)
             try:
-                fractional = fractional_optimum(canonical)
-                report["fractional"] = {
-                    "objective": float(fractional.objective),
-                    "x_star": _expand(
-                        [float(x) for x in perm.restore(fractional.x_star)], removed, n0
-                    ),
-                    "payments": _expand(
-                        [float(p) for p in perm.restore(fractional.payments)], removed, n0
-                    ),
-                    "ell": fractional.ell,
-                }
+                report["fractional"] = fractional_optimum(canonical).to_json(rows, n0)
             except PrivauctionError as exc:
                 report["fractional"] = {"error": type(exc).__name__, "message": str(exc)}
-            mech_objective = float(outcome.objective)
-            report["ratio"] = float(oracle.objective) / mech_objective
+            report["ratio"] = float(oracle.objective) / float(outcome.objective)
         if use_database:
             if database is None:
                 raise ValidationError("instance file has no database block")
-            survivor_db = database.subset(kept)
-            canonical_db = perm.apply(survivor_db.entries)
-            report["estimate"] = evaluate(outcome.dclef, canonical_db, seed)
+            report["estimate"] = evaluate(outcome.dclef, database.subset(rows), seed)
             report["seed"] = seed
     except (InstanceTooLarge, ValidationError) as exc:
         _fail(EXIT_INPUT, exc)
 
     if output == "csv":
-        rows = [("index", "weight", "unit_cost", "x", "payment", "epsilon")]
+        table = [("index", "weight", "unit_cost", "x", "payment", "epsilon")]
         for i in range(n0):
-            rows.append(
+            table.append(
                 (
                     i,
                     f"{float(original.weights[i]):.12g}",
@@ -176,7 +128,7 @@ def cmd_run(instance_path, compare_opt, use_database, seed, output, arithmetic):
                     f"{float(report['dclef']['epsilons'][i]):.12g}",
                 )
             )
-        _emit_csv(rows)
+        _emit_csv(table)
     else:
         _emit_json(report)
 
@@ -274,9 +226,7 @@ def cmd_weights(features_csv, query, query_csv, method, k, kernel, bandwidth, la
         _fail(_classify(exc), exc)
 
     if output == "csv":
-        rows = [("index", "weight")]
-        rows.extend((orig, f"{w:.12g}") for orig, w in zip(derived.kept, derived.weights))
-        _emit_csv(rows)
+        _emit_csv(derived.csv_rows())
     else:
         _emit_json(report)
 
@@ -289,21 +239,17 @@ def cmd_oracle(instance_path, arithmetic, output):
     """Exact integer optimum of the filtered instance (desk scale only)."""
     try:
         document = _load_json(instance_path)
-        original, filtered, canonical, perm, removed, _ = _prepare(document, arithmetic)
+        original, canonical, rows, removed, _ = _prepare(document, arithmetic)
         oracle = brute_force_opt(canonical)
     except PrivauctionError as exc:
         _fail(_classify(exc), exc)
     n0 = original.n
-    report = {
-        "objective": float(oracle.objective),
-        "x": _expand(perm.restore(oracle.x), removed, n0, fill=0),
-        "payments": _expand([float(p) for p in perm.restore(oracle.payments)], removed, n0),
-        "removed": removed,
-    }
+    report = oracle.to_json(rows, n0)
+    report["removed"] = removed
     if output == "csv":
-        rows = [("index", "x", "payment")]
-        rows.extend((i, report["x"][i], f"{report['payments'][i]:.12g}") for i in range(n0))
-        _emit_csv(rows)
+        table = [("index", "x", "payment")]
+        table.extend((i, report["x"][i], f"{report['payments'][i]:.12g}") for i in range(n0))
+        _emit_csv(table)
     else:
         _emit_json(report)
 
@@ -316,25 +262,20 @@ def cmd_fractional(instance_path, arithmetic, output):
     """Closed-form continuous optimum of the filtered instance."""
     try:
         document = _load_json(instance_path)
-        original, filtered, canonical, perm, removed, _ = _prepare(document, arithmetic)
+        original, canonical, rows, removed, _ = _prepare(document, arithmetic)
         fractional = fractional_optimum(canonical)
     except PrivauctionError as exc:
         _fail(_classify(exc), exc)
     n0 = original.n
-    report = {
-        "objective": float(fractional.objective),
-        "x_star": _expand([float(x) for x in perm.restore(fractional.x_star)], removed, n0),
-        "payments": _expand([float(p) for p in perm.restore(fractional.payments)], removed, n0),
-        "ell": fractional.ell,
-        "removed": removed,
-    }
+    report = fractional.to_json(rows, n0)
+    report["removed"] = removed
     if output == "csv":
-        rows = [("index", "x_star", "payment")]
-        rows.extend(
+        table = [("index", "x_star", "payment")]
+        table.extend(
             (i, f"{report['x_star'][i]:.12g}", f"{report['payments'][i]:.12g}")
             for i in range(n0)
         )
-        _emit_csv(rows)
+        _emit_csv(table)
     else:
         _emit_json(report)
 

@@ -31,8 +31,6 @@ __all__ = [
     "PrivacyIndexResult",
     "TradeoffReport",
     "evaluate",
-    "epsilons",
-    "distortion",
     "privacy_index_exact",
     "privacy_index_greedy",
     "tradeoff_construct",
@@ -144,10 +142,6 @@ class Lef:
             return tuple(0.0 for _ in self.x)
         return tuple(delta * wabs[i] * self.x[i] / self.sigma for i in range(self.n))
 
-    @property
-    def has_unbounded_loss(self) -> bool:
-        return self.sigma == 0 and any(xi > 0 for xi in self.x)
-
     def distortion(self):
         """Worst-case mean squared error against the exact linear predictor.
 
@@ -258,14 +252,6 @@ def evaluate(lef: Lef | Dclef, database, rng) -> float:
     if isinstance(lef, Dclef):
         lef = lef.as_lef()
     return lef.deterministic_part(database) + _draw_noise(lef.sigma, rng)
-
-
-def epsilons(lef: Lef | Dclef, strict: bool = False) -> tuple:
-    return lef.epsilons(strict=strict)
-
-
-def distortion(lef: Lef | Dclef):
-    return lef.distortion()
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,15 @@
 
 Instances are immutable after construction and safe to share across tasks.
 Arithmetic is double precision by default; `AuctionInstance.to_rational` gives
-an exact `fractions.Fraction` view for the verification harness.
+an exact `fractions.Fraction` view for the verification harness. `prepare`
+filters and canonicalizes an input instance and returns the one map from
+canonical positions back to input rows that every report uses; `scatter`
+applies it.
 """
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -22,6 +26,8 @@ __all__ = [
     "Permutation",
     "canonicalize",
     "filter_assumption1",
+    "prepare",
+    "scatter",
     "parse_instance",
     "parse_database",
     "load_instance",
@@ -182,7 +188,7 @@ class AuctionInstance:
     @property
     def is_canonical(self) -> bool:
         v = self.unit_costs
-        return all(v[i] <= v[i + 1] for i in range(self.n - 1))
+        return all(map(operator.le, v, v[1:]))
 
     @property
     def has_uniform_weights(self) -> bool:
@@ -274,23 +280,18 @@ def canonicalize(instance: AuctionInstance) -> tuple[AuctionInstance, Permutatio
     return sorted_instance, perm
 
 
-def filter_assumption1(
-    instance: AuctionInstance, mode: str = "fixed_point"
-) -> tuple[AuctionInstance, list[int]]:
+def filter_assumption1(instance: AuctionInstance) -> tuple[AuctionInstance, list[int]]:
     """Remove individuals whose tight payment can never fit the budget.
 
     An individual is removable when ``|w_i| * v_i > B * (W' - |w_i|)`` over the
     current survivor total ``W'``, or when it is the sole survivor (the noise
-    scale would vanish and its privacy loss would be unbounded). ``fixed_point``
-    re-evaluates after each simultaneous removal round until stable, so every
-    survivor is payable against the survivor total; ``static`` evaluates once
-    against the original total.
+    scale would vanish and its privacy loss would be unbounded). Removal runs
+    in simultaneous rounds, re-evaluated until stable, so every survivor is
+    payable against the survivor total and at least two survive.
 
     Raises EmptyInstance when nobody survives. The removal set is independent
     of the input order within a round.
     """
-    if mode not in ("fixed_point", "static"):
-        raise ValidationError(f"unknown filter mode: {mode!r}")
     budget = instance.budget
     wabs = instance.abs_weights
     costs = instance.unit_costs
@@ -308,12 +309,34 @@ def filter_assumption1(
         removed.extend(violators)
         gone = set(violators)
         alive = [i for i in alive if i not in gone]
-        if mode == "static":
-            break
     if not alive:
         raise EmptyInstance("every individual violates the affordability condition")
     removed.sort()
     return instance.subset(alive), removed
+
+
+def prepare(instance: AuctionInstance) -> tuple[AuctionInstance, tuple[int, ...], list[int]]:
+    """Filter, then canonicalize: the mechanism's input plus its map to input rows.
+
+    Returns the canonical survivor instance, ``rows`` with ``rows[j]`` the
+    input index of canonical position ``j``, and the sorted removed indices;
+    ``rows`` and ``removed`` partition ``range(instance.n)``. Survivors keep
+    their input order through the filter, so ``rows`` orders ties exactly as
+    the input does. Raises EmptyInstance when nobody survives.
+    """
+    filtered, removed = filter_assumption1(instance)
+    canonical, perm = canonicalize(filtered)
+    gone = set(removed)
+    survivors = [i for i in range(instance.n) if i not in gone]
+    return canonical, tuple(survivors[j] for j in perm.to_original), removed
+
+
+def scatter(values: Sequence, rows: Sequence[int], n: int, fill=0.0) -> list:
+    """Length-``n`` list with ``values[j]`` at ``rows[j]`` and ``fill`` elsewhere."""
+    out = [fill] * n
+    for value, row in zip(values, rows):
+        out[row] = value
+    return out
 
 
 # --- JSON I/O -------------------------------------------------------------
@@ -324,7 +347,7 @@ def _json_number(value: Number) -> float | int:
     return value
 
 
-def _require(data: dict, key: str, kind: str) -> Any:
+def _require(data: dict, key: str) -> Any:
     if key not in data:
         raise ParseError(f"missing field {key!r}")
     return data[key]
@@ -347,18 +370,18 @@ def parse_instance(data: dict) -> AuctionInstance:
     """
     if not isinstance(data, dict):
         raise ParseError("instance document must be a JSON object")
-    weights = _number_list(_require(data, "weights", "list"), "weights")
-    unit_costs = _number_list(_require(data, "unit_costs", "list"), "unit_costs")
-    raw_budget = _require(data, "budget", "number")
+    weights = _number_list(_require(data, "weights"), "weights")
+    unit_costs = _number_list(_require(data, "unit_costs"), "unit_costs")
+    raw_budget = _require(data, "budget")
     if not _is_number(raw_budget):
         raise ParseError("field 'budget' must be a number")
     if float(raw_budget) <= 0:
         raise ValidationError("budget must be positive")
-    raw_interval = _require(data, "interval", "object")
+    raw_interval = _require(data, "interval")
     if not isinstance(raw_interval, dict):
         raise ParseError("field 'interval' must be an object with 'min' and 'max'")
-    lo = _require(raw_interval, "min", "number")
-    hi = _require(raw_interval, "max", "number")
+    lo = _require(raw_interval, "min")
+    hi = _require(raw_interval, "max")
     if not (_is_number(lo) and _is_number(hi)):
         raise ParseError("interval bounds must be numbers")
     interval = ValueInterval(float(lo), float(hi))

@@ -6,15 +6,18 @@ to their weight magnitudes, or pays only the single heaviest individual when
 that individual outweighs the rest of the prefix. Threshold comparisons are
 evaluated in cross-multiplied form, with no divisions, so runs on
 small-integer data are exact in double precision and agree bit-for-bit with
-the rational-arithmetic mode.
+the rational-arithmetic mode. Outcomes are indexed by canonical position;
+``MechanismOutcome.to_json`` reports them by input row through the row map
+of `instances.prepare`.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 from .errors import EmptyInstance, NonUniformWeights, NotCanonical, ValidationError
 from .estimator import Dclef
-from .instances import AuctionInstance, Permutation
+from .instances import AuctionInstance, scatter
 
 __all__ = [
     "MechanismOutcome",
@@ -46,7 +49,7 @@ class MechanismOutcome:
     """Selected set, payments, released estimator, and branch diagnostics.
 
     Indices are positions in the canonical instance the mechanism ran on;
-    ``to_json`` can map them back through the canonicalization permutation.
+    ``to_json`` can report them by input row instead.
     ``k`` is the affordable-prefix length, ``i_star`` the heaviest individual,
     ``r`` the payment-threshold individual of the single-winner branch.
     """
@@ -64,25 +67,27 @@ class MechanismOutcome:
     def objective(self):
         return self.dclef.instance.weight_of(self.selected)
 
-    def to_json(self, permutation: Permutation | None = None) -> dict:
-        perm = permutation or Permutation.identity(len(self.payments))
-        payments = perm.restore(self.payments)
-        x = perm.restore(self.dclef.x)
-        eps = perm.restore(self.dclef.epsilons())
-        selected = sorted(perm.to_original[i] for i in self.selected)
+    def to_json(self, rows: Sequence[int] | None = None, n: int | None = None) -> dict:
+        """Report by input row: position ``j`` is row ``rows[j]`` of ``n``.
+
+        Rows outside ``rows`` (filtered individuals) read zero; the default
+        is the identity map.
+        """
+        rows = range(len(self.payments)) if rows is None else rows
+        n = len(rows) if n is None else n
         return {
-            "O": selected,
-            "payments": [float(p) for p in payments],
+            "O": sorted(rows[i] for i in self.selected),
+            "payments": scatter([float(p) for p in self.payments], rows, n),
             "k": self.k,
-            "i_star": perm.to_original[self.i_star],
+            "i_star": rows[self.i_star],
             "branch": self.branch,
-            "r": None if self.r is None else perm.to_original[self.r],
+            "r": None if self.r is None else rows[self.r],
             "p_hat": None if self.p_hat is None else float(self.p_hat),
             "objective": float(self.objective),
             "dclef": {
-                "x": list(x),
+                "x": scatter(self.dclef.x, rows, n, 0),
                 "sigma": float(self.dclef.sigma),
-                "epsilons": [float(e) for e in eps],
+                "epsilons": scatter([float(e) for e in self.dclef.epsilons()], rows, n),
                 "distortion": float(self.dclef.distortion()),
             },
         }
@@ -91,7 +96,7 @@ class MechanismOutcome:
 def fair_inner_product(
     instance: AuctionInstance,
     *,
-    identity: Permutation | None = None,
+    identity: Sequence[int] | None = None,
     mutation: str | None = None,
 ) -> MechanismOutcome:
     """Run the auction on a canonical, affordability-filtered instance.
@@ -102,9 +107,10 @@ def fair_inner_product(
     successor cost always exists for the prefix payment rule. Filtering
     guarantees ``k >= 1``.
 
-    ``identity`` is the canonicalization permutation of the caller's
-    pipeline. The heaviest-individual tie is broken by the smallest identity
-    (pre-sort) index, never by the cost-sorted position: a report-dependent
+    ``identity`` labels each canonical position with a report-independent
+    index, normally the input row from `instances.prepare` (default: the
+    position itself). The heaviest-individual tie is broken by the smallest
+    label, never by the cost-sorted position: a report-dependent
     tie-break would let one of two equally heavy individuals underbid to
     capture the single-winner payment, breaking truthfulness.
 
@@ -115,12 +121,11 @@ def fair_inner_product(
     kind, factor = parse_mutation(mutation)
     n = instance.n
     costs = instance.unit_costs
-    for i in range(n - 1):
-        if costs[i] > costs[i + 1]:
-            raise NotCanonical("unit costs must be sorted; canonicalize the instance first")
-    ids = identity.to_original if identity is not None else tuple(range(n))
+    if not instance.is_canonical:
+        raise NotCanonical("unit costs must be sorted; canonicalize the instance first")
+    ids = range(n) if identity is None else identity
     if len(ids) != n:
-        raise ValidationError("identity permutation size does not match the instance")
+        raise ValidationError("identity labels do not match the instance size")
     wabs = instance.abs_weights
     total = instance.total_weight
     budget = instance.budget
@@ -206,7 +211,7 @@ def fair_inner_product(
 
 
 def ghosh_roth_special_case(
-    instance: AuctionInstance, *, identity: Permutation | None = None
+    instance: AuctionInstance, *, identity: Sequence[int] | None = None
 ) -> MechanismOutcome:
     """Uniform-weight run; the selected set always equals the affordable prefix.
 

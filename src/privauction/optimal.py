@@ -5,16 +5,19 @@ individual fractionally, and nothing beyond, with the crossover chosen so the
 tight individually-rational payments exhaust the budget exactly. The integer
 oracle is an exact knapsack branch-and-bound (desk scale only) that returns
 the lexicographically smallest optimal participation vector; it is the ground
-truth the mechanism's approximation guarantees are measured against.
+truth the mechanism's approximation guarantees are measured against. Both
+solutions are indexed by canonical position; their ``to_json`` reports them
+by input row through the row map of `instances.prepare`.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Sequence
 
 from .errors import DegenerateAllOnes, InstanceTooLarge, NotCanonical
-from .instances import AuctionInstance
+from .instances import AuctionInstance, scatter
 from .mechanism import MechanismOutcome, fair_inner_product
 
 __all__ = [
@@ -32,13 +35,6 @@ __all__ = [
 ORACLE_LIMIT = 20
 
 
-def _require_canonical(instance: AuctionInstance) -> None:
-    v = instance.unit_costs
-    for i in range(instance.n - 1):
-        if v[i] > v[i + 1]:
-            raise NotCanonical("unit costs must be sorted; canonicalize the instance first")
-
-
 @dataclass(frozen=True)
 class FractionalSolution:
     """Continuous relaxation optimum: full prefix, one fractional, tight budget."""
@@ -52,10 +48,13 @@ class FractionalSolution:
     def n(self) -> int:
         return len(self.x_star)
 
-    def to_json(self) -> dict:
+    def to_json(self, rows: Sequence[int] | None = None, n: int | None = None) -> dict:
+        """Report by input row, as `MechanismOutcome.to_json`."""
+        rows = range(self.n) if rows is None else rows
+        n = len(rows) if n is None else n
         return {
-            "x_star": [float(x) for x in self.x_star],
-            "payments": [float(p) for p in self.payments],
+            "x_star": scatter([float(x) for x in self.x_star], rows, n),
+            "payments": scatter([float(p) for p in self.payments], rows, n),
             "ell": self.ell,
             "objective": float(self.objective),
         }
@@ -70,7 +69,8 @@ def fractional_optimum(instance: AuctionInstance) -> FractionalSolution:
     tight-budget identity exactly. The solution never clamps: the crossover
     choice itself keeps the fraction inside [0, 1], which is asserted.
     """
-    _require_canonical(instance)
+    if not instance.is_canonical:
+        raise NotCanonical("unit costs must be sorted; canonicalize the instance first")
     n = instance.n
     wabs = instance.abs_weights
     costs = instance.unit_costs
@@ -183,11 +183,14 @@ class OracleSolution:
     objective: float
     payments: tuple
 
-    def to_json(self) -> dict:
+    def to_json(self, rows: Sequence[int] | None = None, n: int | None = None) -> dict:
+        """Report by input row, as `MechanismOutcome.to_json`."""
+        rows = range(len(self.x)) if rows is None else rows
+        n = len(rows) if n is None else n
         return {
-            "x": list(self.x),
+            "x": scatter(self.x, rows, n, 0),
             "objective": float(self.objective),
-            "payments": [float(p) for p in self.payments],
+            "payments": scatter([float(p) for p in self.payments], rows, n),
         }
 
 
@@ -308,7 +311,8 @@ def opt_bounds_check(
     recomputed multiplier certificate plus tight-budget identity hold.
     Violations are reported as failed checks, never raised.
     """
-    _require_canonical(instance)
+    if not instance.is_canonical:
+        raise NotCanonical("unit costs must be sorted; canonicalize the instance first")
     if outcome is None:
         outcome = fair_inner_product(instance)
     oracle = brute_force_opt(instance)

@@ -129,6 +129,11 @@ class DerivedWeights:
             "dropped": list(self.dropped),
         }
 
+    def csv_rows(self) -> list[tuple]:
+        return [("index", "weight")] + [
+            (orig, f"{w:.12g}") for orig, w in zip(self.kept, self.weights)
+        ]
+
 
 def _drop_negligible(
     raw: np.ndarray, method: str, drop_tol: float = DROP_TOLERANCE

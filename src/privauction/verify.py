@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from .errors import EmptyInstance, ParameterOutOfRange, ValidationError
-from .instances import AuctionInstance, ValueInterval, canonicalize, filter_assumption1
+from .instances import AuctionInstance, ValueInterval, prepare
 from .mechanism import fair_inner_product
 from .optimal import ORACLE_LIMIT, opt_bounds_check
 
@@ -180,19 +180,16 @@ def generate_instance(config: SweepConfig, index: int) -> AuctionInstance:
         weights = _draw_weights(config.weight_distribution, n, rng)
         costs = _draw_costs(config.cost_distribution, n, rng)
         budget = _draw_budget(config, weights, costs, rng)
+        raw = AuctionInstance(
+            tuple(float(w) for w in weights),
+            tuple(float(v) for v in costs),
+            budget,
+            ValueInterval(0.0, 1.0),
+        )
         try:
-            raw = AuctionInstance(
-                tuple(float(w) for w in weights),
-                tuple(float(v) for v in costs),
-                budget,
-                ValueInterval(0.0, 1.0),
-            )
-            filtered, _ = filter_assumption1(raw)
+            canonical, _, _ = prepare(raw)
         except EmptyInstance:
             continue
-        if filtered.n < 2:
-            continue
-        canonical, _ = canonicalize(filtered)
         return canonical
     raise ValidationError(f"no viable instance after 64 attempts at index {index}")
 
@@ -278,21 +275,18 @@ def _deviation_utility(reported_instance, i: int, true_cost, mutation: str | Non
     """Utility of individual ``i`` under the deployed filter-then-run pipeline.
 
     A report that violates the affordability condition gets the deviator
-    filtered out: no payment, no exposure, zero utility. The canonicalization
-    permutation is passed as the identity order so weight ties break by the
-    pre-report labeling.
+    filtered out: no payment, no exposure, zero utility. The input rows are
+    passed as the identity labels so weight ties break by the pre-report
+    labeling.
     """
     try:
-        filtered, removed = filter_assumption1(reported_instance)
+        canonical, rows, removed = prepare(reported_instance)
     except EmptyInstance:
         return 0
     if i in removed:
         return 0
-    gone = set(removed)
-    survivor_pos = sum(1 for j in range(i) if j not in gone)
-    canonical, perm = canonicalize(filtered)
-    outcome = fair_inner_product(canonical, identity=perm, mutation=mutation)
-    return _utility(outcome, perm.to_sorted[survivor_pos], true_cost)
+    outcome = fair_inner_product(canonical, identity=rows, mutation=mutation)
+    return _utility(outcome, rows.index(i), true_cost)
 
 
 def _finite_or_repr(value):

@@ -268,3 +268,88 @@ class TestOracleAndFractional:
         assert result.exit_code == 0
         assert result.stderr == ""
         json.loads(result.output)  # stdout is pure JSON
+
+
+# distinct costs and |weights|, survivors out of cost order, at least one row filtered
+EQUIVARIANCE_INSTANCES = [
+    # single-winner branch with a threshold individual; row 4 filtered
+    ([-28, 4, -22, -16, 23, -10, -19], [1, 31, 10, 16, 25, 3, 6]),
+    # prefix branch; rows 2 and 4 filtered
+    ([13, -10, 25, 20, 21, 29, -3], [2, 11, 33, 3, 31, 4, 13]),
+]
+SHUFFLES = [
+    [6, 5, 4, 3, 2, 1, 0],
+    [3, 0, 6, 1, 5, 2, 4],
+    [2, 4, 6, 1, 3, 5, 0],
+]
+COMMANDS = {
+    "run": ["--compare-opt", "--database", "--seed", "3"],
+    "oracle": [],
+    "fractional": [],
+}
+PER_ROW_FIELDS = {
+    "run": [
+        ("payments",), ("dclef", "x"), ("dclef", "epsilons"),
+        ("oracle", "x"), ("oracle", "payments"),
+        ("fractional", "x_star"), ("fractional", "payments"),
+    ],
+    "oracle": [("x",), ("payments",)],
+    "fractional": [("x_star",), ("payments",)],
+}
+ROW_INDEX_FIELDS = {"run": ["O", "i_star", "r", "removed"], "oracle": ["removed"], "fractional": ["removed"]}
+
+
+class TestRowMapEquivariance:
+    """Shuffling the input rows permutes every per-row field and relabels every row index."""
+
+    @pytest.mark.parametrize("order", SHUFFLES)
+    @pytest.mark.parametrize("weights,costs", EQUIVARIANCE_INSTANCES)
+    def test_shuffled_input(self, runner, instance_file, weights, costs, order):
+        n = len(weights)
+        database = [(i + 1) / (n + 1) for i in range(n)]
+
+        def write(rows, name):
+            return instance_file(
+                {
+                    "weights": [weights[i] for i in rows],
+                    "unit_costs": [costs[i] for i in rows],
+                    "budget": 5,
+                    "interval": {"min": 0, "max": 1},
+                    "database": [database[i] for i in rows],
+                },
+                name,
+            )
+
+        # row j of the shuffled file is row order[j] of the base file
+        base_path, shuffled_path = write(range(n), "base.json"), write(order, "shuffled.json")
+        relabel = {old: new for new, old in enumerate(order)}
+        for command, args in COMMANDS.items():
+            results = [runner.invoke(main, [command, str(p), *args]) for p in (base_path, shuffled_path)]
+            assert [r.exit_code for r in results] == [0, 0], results[0].output
+            base, shuffled = (json.loads(r.stdout) for r in results)
+            assert base["removed"]
+            expected = json.loads(results[0].stdout)
+            for path in PER_ROW_FIELDS[command]:
+                *parents, leaf = path
+                source, target = base, expected
+                for key in parents:
+                    source, target = source[key], target[key]
+                target[leaf] = [source[leaf][old] for old in order]
+            for key in ROW_INDEX_FIELDS[command]:
+                value = base[key]
+                if isinstance(value, list):
+                    expected[key] = sorted(relabel[i] for i in value)
+                elif value is not None:
+                    expected[key] = relabel[value]
+            # scalars, the estimate included, are bit-identical
+            assert shuffled == expected
+
+    def test_fixtures_reach_both_branches(self, runner, instance_file):
+        seen = set()
+        for weights, costs in EQUIVARIANCE_INSTANCES:
+            path = instance_file(
+                {"weights": weights, "unit_costs": costs, "budget": 5, "interval": {"min": 0, "max": 1}}
+            )
+            data = json.loads(runner.invoke(main, ["run", str(path)]).stdout)
+            seen.add((data["branch"], data["r"] is not None))
+        assert seen == {("star", True), ("topk", False)}

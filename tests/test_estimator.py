@@ -17,8 +17,6 @@ from privauction import (
     UnboundedPrivacyLoss,
     ValidationError,
     check_tradeoff_bound,
-    distortion,
-    epsilons,
     evaluate,
     privacy_index_exact,
     privacy_index_greedy,
@@ -103,7 +101,7 @@ class TestEpsilons:
     def test_zero_participation_perfect_privacy(self):
         inst = make_instance([1, -1, 2], [1, 1, 1], 1, UNIT)
         lef = Lef(inst, (0.0, 0.0, 0.0), 1.0)
-        assert epsilons(lef) == (0.0, 0.0, 0.0)
+        assert lef.epsilons() == (0.0, 0.0, 0.0)
 
     def test_canonical_half(self):
         inst = make_instance([1, 1, 1, 1], [1, 1, 1, 1], 1, UNIT)
@@ -141,7 +139,7 @@ class TestDistortion:
     def test_perfect_estimator(self):
         inst = make_instance([1, 2], [1, 1], 1, UNIT)
         lef = Lef(inst, (1.0, 1.0), 0.0)
-        assert distortion(lef) == 0.0
+        assert lef.distortion() == 0.0
 
     def test_all_hidden_canonical(self):
         inst = make_instance([1, 2], [1, 1], 1, UNIT)
@@ -152,7 +150,7 @@ class TestDistortion:
     def test_half_hidden_value(self):
         inst = make_instance([1, 1], [1, 1], 1, UNIT)
         lef = Lef(inst, (1.0, 0.0), 1.0)
-        assert distortion(lef) == (0.5 * 1) ** 2 + 2 * 1.0
+        assert lef.distortion() == (0.5 * 1) ** 2 + 2 * 1.0
 
     def test_canonical_formula_matches_general_to_ulp(self):
         rng = np.random.default_rng(11)
@@ -176,7 +174,7 @@ class TestDistortion:
                 w * d for w, d in zip(inst.weights, corners)
             )
             worst = max(worst, centered**2 - 2 * centered * mean_noise + mean_sq)
-        assert worst == pytest.approx(distortion(lef), rel=0.01)
+        assert worst == pytest.approx(lef.distortion(), rel=0.01)
 
 
 class TestGeneralAnchors:
@@ -474,7 +472,7 @@ class TestKAccuracyBridge:
                 worst_quantile = max(
                     worst_quantile, float(np.quantile(np.abs(centered - samples), 2 / 3))
                 )
-            assert worst_quantile <= math.sqrt(3 * distortion(lef)) * 1.05
+            assert worst_quantile <= math.sqrt(3 * lef.distortion()) * 1.05
 
 
 class TestCorollaryConstruction:

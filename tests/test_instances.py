@@ -17,8 +17,10 @@ from privauction import (
     canonicalize,
     filter_assumption1,
     load_instance,
+    prepare,
     save_instance,
 )
+from privauction.instances import scatter
 
 from conftest import UNIT, make_instance
 
@@ -137,16 +139,6 @@ class TestFilterAssumption1:
         assert removed == []
         assert out.n == 3
 
-    def test_static_mode_single_round(self):
-        inst = make_instance([1, 1], [100, 1], 1)
-        out, removed = filter_assumption1(inst, mode="static")
-        assert removed == [0]
-        assert out.n == 1  # static mode does not revisit the lone survivor
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValidationError):
-            filter_assumption1(make_instance([1], [1], 1), mode="bogus")
-
     def test_removed_reported_in_original_indices(self):
         inst = make_instance([1, 5, 1], [50, 0.1, 0.1], 1)
         out, removed = filter_assumption1(inst)
@@ -187,6 +179,52 @@ class TestFilterAssumption1:
             assert out.n + len(removed) == n
         except EmptyInstance:
             pass
+
+
+class TestPrepare:
+    @given(
+        data=st.lists(
+            st.tuples(
+                st.integers(1, 9).flatmap(lambda m: st.sampled_from([m, -m])),
+                st.integers(0, 9),
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+        budget=st.sampled_from([0.25, 1.0, 3.0, 10.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_row_map_contract(self, data, budget):
+        inst = make_instance([w for w, _ in data], [v for _, v in data], budget)
+        try:
+            _, filter_removed = filter_assumption1(inst)
+        except EmptyInstance:
+            with pytest.raises(EmptyInstance):
+                prepare(inst)
+            return
+        canonical, rows, removed = prepare(inst)
+        assert removed == filter_removed
+        assert sorted(rows + tuple(removed)) == list(range(inst.n))
+        assert canonical.is_canonical
+        assert canonical.n == len(rows)
+        for j, row in enumerate(rows):
+            assert canonical.weights[j] == inst.weights[row]
+            assert canonical.unit_costs[j] == inst.unit_costs[row]
+        # equal costs keep their input order
+        for j in range(canonical.n - 1):
+            if canonical.unit_costs[j] == canonical.unit_costs[j + 1]:
+                assert rows[j] < rows[j + 1]
+
+    def test_filtered_and_sorted(self):
+        inst = make_instance([1, 5, 1, 2], [50, 0.3, 0.1, 0.2], 1)
+        canonical, rows, removed = prepare(inst)
+        assert removed == [0]
+        assert rows == (2, 3, 1)
+        assert canonical.unit_costs == (0.1, 0.2, 0.3)
+
+    def test_scatter(self):
+        assert scatter(["a", "b"], (3, 1), 4, fill="-") == ["-", "b", "-", "a"]
+        assert scatter([], (), 2) == [0.0, 0.0]
 
 
 class TestJsonIO:

@@ -292,7 +292,7 @@ class TestOutcomeJson:
         inst = make_instance([1, 1, 1, 1], [2, 1, 2, 2], 1.5)
         canonical, perm = canonicalize(inst)
         out = fair_inner_product(canonical)
-        data = out.to_json(perm)
+        data = out.to_json(perm.to_original)
         # the cheap individual sits at original index 1
         assert data["O"] == [1]
         assert data["payments"][1] > 0
