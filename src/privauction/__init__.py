@@ -38,7 +38,6 @@ from .estimator import (
 from .instances import (
     AuctionInstance,
     Database,
-    Permutation,
     ValueInterval,
     canonicalize,
     filter_assumption1,

@@ -23,7 +23,6 @@ __all__ = [
     "ValueInterval",
     "AuctionInstance",
     "Database",
-    "Permutation",
     "canonicalize",
     "filter_assumption1",
     "prepare",
@@ -76,57 +75,6 @@ class ValueInterval:
 
     def to_json(self) -> dict:
         return {"min": _json_number(self.r_min), "max": _json_number(self.r_max)}
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """Records the reordering applied when an instance is canonicalized.
-
-    ``to_original[j]`` is the original position of the individual that sits at
-    position ``j`` after sorting.
-    """
-
-    to_original: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.to_original)
-        if sorted(self.to_original) != list(range(n)):
-            raise ValidationError("permutation is not a bijection on [n]")
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
-
-    @property
-    def n(self) -> int:
-        return len(self.to_original)
-
-    @cached_property
-    def to_sorted(self) -> tuple[int, ...]:
-        """Inverse map: original position -> sorted position."""
-        out = [0] * self.n
-        for j, orig in enumerate(self.to_original):
-            out[orig] = j
-        return tuple(out)
-
-    @property
-    def is_identity(self) -> bool:
-        return all(j == orig for j, orig in enumerate(self.to_original))
-
-    def apply(self, values: Sequence) -> tuple:
-        """Reorder a sequence given in original order into sorted order."""
-        if len(values) != self.n:
-            raise ValidationError("sequence length does not match permutation size")
-        return tuple(values[orig] for orig in self.to_original)
-
-    def restore(self, values: Sequence) -> tuple:
-        """Map a sequence given in sorted order back to original order."""
-        if len(values) != self.n:
-            raise ValidationError("sequence length does not match permutation size")
-        out = [None] * self.n
-        for j, orig in enumerate(self.to_original):
-            out[orig] = values[j]
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -260,24 +208,17 @@ class Database:
         return Database(tuple(self.entries[i] for i in indices))
 
 
-def canonicalize(instance: AuctionInstance) -> tuple[AuctionInstance, Permutation]:
+def canonicalize(instance: AuctionInstance) -> tuple[AuctionInstance, tuple[int, ...]]:
     """Sort individuals by non-decreasing unit cost, ties by original index.
 
-    Returns the sorted instance and the permutation mapping sorted positions
-    back to original ones. Idempotent: a canonical instance maps to itself
-    under the identity permutation.
+    Returns the sorted instance and ``order``, with ``order[j]`` the original
+    position of sorted position ``j``. Idempotent: a canonical instance is
+    returned as it is, with the identity order.
     """
-    order = sorted(range(instance.n), key=lambda i: (instance.unit_costs[i], i))
-    perm = Permutation(tuple(order))
-    if perm.is_identity:
-        return instance, perm
-    sorted_instance = AuctionInstance(
-        perm.apply(instance.weights),
-        perm.apply(instance.unit_costs),
-        instance.budget,
-        instance.interval,
-    )
-    return sorted_instance, perm
+    if instance.is_canonical:
+        return instance, tuple(range(instance.n))
+    order = tuple(sorted(range(instance.n), key=instance.unit_costs.__getitem__))
+    return instance.subset(order), order
 
 
 def filter_assumption1(instance: AuctionInstance) -> tuple[AuctionInstance, list[int]]:
@@ -290,7 +231,8 @@ def filter_assumption1(instance: AuctionInstance) -> tuple[AuctionInstance, list
     payable against the survivor total and at least two survive.
 
     Raises EmptyInstance when nobody survives. The removal set is independent
-    of the input order within a round.
+    of the input order within a round. When nobody is removed the input
+    instance itself is returned.
     """
     budget = instance.budget
     wabs = instance.abs_weights
@@ -311,6 +253,8 @@ def filter_assumption1(instance: AuctionInstance) -> tuple[AuctionInstance, list
         alive = [i for i in alive if i not in gone]
     if not alive:
         raise EmptyInstance("every individual violates the affordability condition")
+    if not removed:
+        return instance, removed
     removed.sort()
     return instance.subset(alive), removed
 
@@ -325,10 +269,10 @@ def prepare(instance: AuctionInstance) -> tuple[AuctionInstance, tuple[int, ...]
     the input does. Raises EmptyInstance when nobody survives.
     """
     filtered, removed = filter_assumption1(instance)
-    canonical, perm = canonicalize(filtered)
+    canonical, order = canonicalize(filtered)
     gone = set(removed)
     survivors = [i for i in range(instance.n) if i not in gone]
-    return canonical, tuple(survivors[j] for j in perm.to_original), removed
+    return canonical, tuple(survivors[j] for j in order), removed
 
 
 def scatter(values: Sequence, rows: Sequence[int], n: int, fill=0.0) -> list:

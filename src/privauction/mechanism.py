@@ -3,10 +3,13 @@
 Given a canonical (cost-sorted), affordability-filtered instance, the auction
 either pays the longest affordable prefix of cheap individuals in proportion
 to their weight magnitudes, or pays only the single heaviest individual when
-that individual outweighs the rest of the prefix. Threshold comparisons are
-evaluated in cross-multiplied form, with no divisions, so runs on
-small-integer data are exact in double precision and agree bit-for-bit with
-the rational-arithmetic mode. Outcomes are indexed by canonical position;
+that individual outweighs the rest of the prefix. The rule functions
+`prefix_length`, `star_wins` and `topk_rate` make those three decisions;
+`run_rules` builds an outcome from any three rules, and `fair_inner_product`
+runs the honest ones. Threshold comparisons are evaluated in cross-multiplied
+form, with no divisions, so runs on small-integer data are exact in double
+precision and agree bit-for-bit with the rational-arithmetic mode. Outcomes
+are indexed by canonical position;
 ``MechanismOutcome.to_json`` reports them by input row through the row map
 of `instances.prepare`.
 """
@@ -23,25 +26,7 @@ __all__ = [
     "MechanismOutcome",
     "fair_inner_product",
     "ghosh_roth_special_case",
-    "MUTATIONS",
-    "parse_mutation",
 ]
-
-MUTATIONS = ("payment-scale", "k-include-last", "star-nonstrict", "no-threshold-cap")
-
-
-def parse_mutation(spec: str | None) -> tuple[str | None, float | None]:
-    """Parse a fault-injection spec like ``payment-scale:0.9`` (testing only)."""
-    if spec is None:
-        return None, None
-    name, _, arg = spec.partition(":")
-    if name not in MUTATIONS:
-        raise ValidationError(f"unknown mutation {name!r}; known: {', '.join(MUTATIONS)}")
-    if name == "payment-scale":
-        if not arg:
-            raise ValidationError("payment-scale mutation needs a factor, e.g. payment-scale:0.9")
-        return name, float(arg)
-    return name, None
 
 
 @dataclass(frozen=True)
@@ -93,32 +78,38 @@ class MechanismOutcome:
         }
 
 
-def fair_inner_product(
-    instance: AuctionInstance,
-    *,
-    identity: Sequence[int] | None = None,
-    mutation: str | None = None,
-) -> MechanismOutcome:
-    """Run the auction on a canonical, affordability-filtered instance.
+def prefix_length(instance: AuctionInstance, prefix: Sequence) -> int:
+    """Prefix rule: the largest ``t < n`` with ``B * (W - w([t])) >= v_t * w([t])``.
 
-    The prefix length ``k`` is the largest ``t`` with
-    ``B * (W - w([t])) >= v_t * w([t])``; the final position never qualifies
+    The scan stops at the first failure. The final position never qualifies
     (its residual weight is zero, making the threshold unbeatable), so a
-    successor cost always exists for the prefix payment rule. Filtering
-    guarantees ``k >= 1``.
-
-    ``identity`` labels each canonical position with a report-independent
-    index, normally the input row from `instances.prepare` (default: the
-    position itself). The heaviest-individual tie is broken by the smallest
-    label, never by the cost-sorted position: a report-dependent
-    tie-break would let one of two equally heavy individuals underbid to
-    capture the single-winner payment, breaking truthfulness.
-
-    The ``mutation`` argument deliberately mis-implements one rule for the
-    verification harness's fault-injection tests; production callers leave it
-    unset.
+    successor cost always exists for the prefix payment rule.
     """
-    kind, factor = parse_mutation(mutation)
+    budget, total, costs = instance.budget, instance.total_weight, instance.unit_costs
+    for t in range(1, instance.n):
+        if not budget * (total - prefix[t]) >= costs[t - 1] * prefix[t]:
+            return t - 1
+    return instance.n - 1
+
+
+def star_wins(w_star, rest) -> bool:
+    """Star rule: the heaviest individual strictly outweighs the rest of the prefix."""
+    return w_star > rest
+
+
+def topk_rate(instance: AuctionInstance, prefix: Sequence, k: int):
+    """Rate rule: ``B / w([k])``, capped by the successor's ``v_{k+1} / (W - w([k]))``."""
+    budget, cw, residual = instance.budget, prefix[k], instance.total_weight - prefix[k]
+    if k == instance.n or budget * residual <= instance.unit_costs[k] * cw:
+        return budget / cw
+    return instance.unit_costs[k] / residual
+
+
+def run_rules(instance: AuctionInstance, identity, prefix_rule, star_rule, rate_rule):
+    """Outcome of the auction whose three decisions are made by the given rules.
+
+    The rules are called like `prefix_length`, `star_wins` and `topk_rate`.
+    """
     n = instance.n
     costs = instance.unit_costs
     if not instance.is_canonical:
@@ -129,22 +120,13 @@ def fair_inner_product(
     wabs = instance.abs_weights
     total = instance.total_weight
     budget = instance.budget
+    zero = wabs[0] * 0
 
-    prefix = [wabs[0] * 0] * (n + 1)  # prefix[t] = w([t])
+    prefix = [zero] * (n + 1)  # prefix[t] = w([t])
     for t in range(1, n + 1):
         prefix[t] = prefix[t - 1] + wabs[t - 1]
 
-    k = 0
-    last = n if kind == "k-include-last" else n - 1
-    for t in range(1, last + 1):
-        if kind == "k-include-last" and t == n:
-            qualifies = True  # fault injection: zero residual treated as affordable
-        else:
-            qualifies = budget * (total - prefix[t]) >= costs[t - 1] * prefix[t]
-        if qualifies:
-            k = t
-        else:
-            break
+    k = prefix_rule(instance, prefix)
     if k == 0:
         raise EmptyInstance(
             "no affordable prefix exists; the instance was not affordability-filtered"
@@ -155,57 +137,55 @@ def fair_inner_product(
         if wabs[i] > wabs[i_star] or (wabs[i] == wabs[i_star] and ids[i] < ids[i_star]):
             i_star = i
     w_star = wabs[i_star]
-    prefix_excl_star = prefix[k] - (w_star if i_star < k else wabs[0] * 0)
 
-    if kind == "star-nonstrict":
-        star_branch = w_star >= prefix_excl_star
-    else:
-        star_branch = w_star > prefix_excl_star
-
-    payments = [wabs[0] * 0] * n
-    if star_branch:
+    payments = [zero] * n
+    if star_rule(w_star, prefix[k] - (w_star if i_star < k else zero)):
         r = None
         for t in range(1, n + 1):
             if t - 1 == i_star:
                 continue
-            others = prefix[t] - (w_star if i_star < t else wabs[0] * 0)
+            others = prefix[t] - (w_star if i_star < t else zero)
             if others >= w_star and budget * (total - others) >= costs[t - 1] * others:
                 r = t - 1
                 break
-        if mutation is None:
-            # single-winner sanity: a heavy individual beyond the prefix
-            # leaves no threshold candidate, and any candidate is costlier
-            assert not (i_star > k and r is not None)
-            assert r is None or r > i_star
         p_hat = budget if r is None else w_star * costs[r] / (total - w_star)
         payments[i_star] = p_hat
         selected = (i_star,)
-        outcome = MechanismOutcome(
-            selected, tuple(payments), Dclef.from_selected(instance, selected),
-            k, i_star, "star", r, p_hat,
-        )
+        branch = "star"
     else:
+        r = p_hat = None
         selected = tuple(range(k))
-        cw = prefix[k]
-        if kind == "no-threshold-cap" or k == n:
-            rate = budget / cw
-        elif budget * (total - cw) <= costs[k] * cw:
-            rate = budget / cw
-        else:
-            rate = costs[k] / (total - cw)
+        rate = rate_rule(instance, prefix, k)
         for i in selected:
             payments[i] = wabs[i] * rate
-        outcome = MechanismOutcome(
-            selected, tuple(payments), Dclef.from_selected(instance, selected),
-            k, i_star, "topk", None, None,
-        )
+        branch = "topk"
+    return MechanismOutcome(
+        selected, tuple(payments), Dclef.from_selected(instance, selected),
+        k, i_star, branch, r, p_hat,
+    )
 
-    if kind == "payment-scale":
-        scaled = tuple(p * factor for p in outcome.payments)
-        outcome = MechanismOutcome(
-            outcome.selected, scaled, outcome.dclef, outcome.k,
-            outcome.i_star, outcome.branch, outcome.r,
-            None if outcome.p_hat is None else outcome.p_hat * factor,
+
+def fair_inner_product(
+    instance: AuctionInstance, *, identity: Sequence[int] | None = None
+) -> MechanismOutcome:
+    """Run the auction's honest rules on a canonical, affordability-filtered instance.
+
+    ``identity`` labels each canonical position with a report-independent
+    index, normally the input row from `instances.prepare` (default: the
+    position itself). The heaviest-individual tie is broken by the smallest
+    label, never by the cost-sorted position: a report-dependent
+    tie-break would let one of two equally heavy individuals underbid to
+    capture the single-winner payment, breaking truthfulness.
+
+    Raises AssertionError, also under ``python -O``, when a threshold ``r``
+    exists although ``i_star > k`` (a heavy individual beyond the prefix
+    leaves no candidate) or ``r <= i_star`` (any candidate is costlier).
+    """
+    outcome = run_rules(instance, identity, prefix_length, star_wins, topk_rate)
+    r = outcome.r
+    if r is not None and not (outcome.i_star <= outcome.k and r > outcome.i_star):
+        raise AssertionError(
+            f"single-winner threshold r={r} inconsistent with i_star={outcome.i_star}, k={outcome.k}"
         )
     return outcome
 
@@ -222,5 +202,6 @@ def ghosh_roth_special_case(
     if not instance.has_uniform_weights:
         raise NonUniformWeights("all weight magnitudes must be equal")
     outcome = fair_inner_product(instance, identity=identity)
-    assert set(outcome.selected) == set(range(outcome.k))
+    if set(outcome.selected) != set(range(outcome.k)):
+        raise AssertionError("uniform-weight selection differs from the affordable prefix")
     return outcome

@@ -96,7 +96,8 @@ def fractional_optimum(instance: AuctionInstance) -> FractionalSolution:
     numerator = budget * beyond[ell] - cost_weight[ell]
     denominator = (costs[ell] + budget) * wabs[ell]
     frac = numerator / denominator
-    assert -1e-12 <= frac <= 1 + 1e-12, "fractional coordinate escaped [0, 1]"
+    if not -1e-12 <= frac <= 1 + 1e-12:
+        raise AssertionError("fractional coordinate escaped [0, 1]")
 
     x = [1] * ell + [frac] + [0] * (n - ell - 1)
     residual = beyond[ell + 1] + wabs[ell] * (1 - frac)

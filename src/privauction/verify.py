@@ -3,13 +3,15 @@
 Every sweep is reproducible: instance ``index`` under a config seed always
 yields the same instance (seeding is per-index, so parallel and serial runs
 agree), and every reported failure carries the config seed and index needed
-to regenerate its instance exactly.
+to regenerate its instance exactly. The harness also owns fault injection:
+each of `MUTATIONS` swaps one of `mechanism`'s rule functions for a faulty
+one or scales the honest payments, so a sweep can show it catches the fault.
 """
 
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 
@@ -17,7 +19,7 @@ import numpy as np
 
 from .errors import EmptyInstance, ParameterOutOfRange, ValidationError
 from .instances import AuctionInstance, ValueInterval, prepare
-from .mechanism import fair_inner_product
+from .mechanism import fair_inner_product, prefix_length, run_rules, star_wins, topk_rate
 from .optimal import ORACLE_LIMIT, opt_bounds_check
 
 __all__ = [
@@ -30,6 +32,9 @@ __all__ = [
     "run_truthfulness_sweep",
     "run_approximation_sweep",
     "default_threads",
+    "MUTATIONS",
+    "parse_mutation",
+    "mechanism_under",
 ]
 
 TRUTHFUL_SLACK = 1e-9
@@ -265,13 +270,78 @@ def misreport_grid(costs, i: int, rational: bool = False) -> tuple:
     return tuple(sorted(z for z in points if z >= 0))
 
 
+# --- fault injection ----------------------------------------------------------
+
+def _k_include_last(instance: AuctionInstance, prefix) -> int:
+    """Treats the final position's zero residual weight as affordable."""
+    k = prefix_length(instance, prefix)
+    return instance.n if k == instance.n - 1 else k
+
+
+def _star_nonstrict(w_star, rest) -> bool:
+    return w_star >= rest
+
+
+def _uncapped_rate(instance: AuctionInstance, prefix, k: int):
+    """Pays the prefix the whole budget, ignoring the successor's threshold."""
+    return instance.budget / prefix[k]
+
+
+_MUTANT_RULES = {
+    "k-include-last": (_k_include_last, star_wins, topk_rate),
+    "star-nonstrict": (prefix_length, _star_nonstrict, topk_rate),
+    "no-threshold-cap": (prefix_length, star_wins, _uncapped_rate),
+}
+MUTATIONS = ("payment-scale", *_MUTANT_RULES)
+
+
+def parse_mutation(spec: str | None) -> tuple[str | None, float | None]:
+    """Parse a fault-injection spec like ``payment-scale:0.9``."""
+    if spec is None:
+        return None, None
+    name, _, arg = spec.partition(":")
+    if name not in MUTATIONS:
+        raise ValidationError(f"unknown mutation {name!r}; known: {', '.join(MUTATIONS)}")
+    if name == "payment-scale":
+        try:
+            return name, float(arg)
+        except ValueError as exc:
+            raise ValidationError(
+                "payment-scale mutation needs a factor, e.g. payment-scale:0.9"
+            ) from exc
+    return name, None
+
+
+def _scaled_payments(factor: float, instance: AuctionInstance, *, identity=None):
+    outcome = fair_inner_product(instance, identity=identity)
+    scaled = tuple(p * factor for p in outcome.payments)
+    p_hat = None if outcome.p_hat is None else outcome.p_hat * factor
+    return replace(outcome, payments=scaled, p_hat=p_hat)
+
+
+def mechanism_under(mutation: str | None):
+    """The mechanism a sweep checks, called as ``(instance, *, identity=None)``.
+
+    ``None`` gives the honest `fair_inner_product`. A rule mutant calls
+    `run_rules` directly, without the honest mechanism's single-winner
+    checks, so its fault surfaces as a witness rather than an error.
+    """
+    name, factor = parse_mutation(mutation)
+    if name is None:
+        return fair_inner_product
+    if name == "payment-scale":
+        return partial(_scaled_payments, factor)
+    rules = _MUTANT_RULES[name]
+    return lambda instance, *, identity=None: run_rules(instance, identity, *rules)
+
+
 # --- per-instance checks ----------------------------------------------------
 
 def _utility(outcome, position: int, true_cost):
     return outcome.payments[position] - true_cost * outcome.dclef.epsilons()[position]
 
 
-def _deviation_utility(reported_instance, i: int, true_cost, mutation: str | None):
+def _deviation_utility(reported_instance, i: int, true_cost, mechanism):
     """Utility of individual ``i`` under the deployed filter-then-run pipeline.
 
     A report that violates the affordability condition gets the deviator
@@ -285,7 +355,7 @@ def _deviation_utility(reported_instance, i: int, true_cost, mutation: str | Non
         return 0
     if i in removed:
         return 0
-    outcome = fair_inner_product(canonical, identity=rows, mutation=mutation)
+    outcome = mechanism(canonical, identity=rows)
     return _utility(outcome, rows.index(i), true_cost)
 
 
@@ -311,7 +381,8 @@ def _truthfulness_record(config: SweepConfig, index: int, mutation: str | None) 
     rational = config.arithmetic_mode == "rational"
     if rational:
         instance = instance.to_rational()
-    outcome = fair_inner_product(instance, mutation=mutation)
+    mechanism = mechanism_under(mutation)
+    outcome = mechanism(instance)
     budget = instance.budget
     failures = []
 
@@ -355,7 +426,7 @@ def _truthfulness_record(config: SweepConfig, index: int, mutation: str | None) 
             reported = list(instance.unit_costs)
             reported[i] = z
             dev_utility = _deviation_utility(
-                instance.with_unit_costs(reported), i, true_cost, mutation
+                instance.with_unit_costs(reported), i, true_cost, mechanism
             )
             if dev_utility > honest_utility + slack:
                 truthful_ok = False
@@ -484,9 +555,11 @@ def run_truthfulness_sweep(
 ) -> VerificationReport:
     """Budget, individual-rationality, and misreport-grid checks over the stream.
 
-    A correct mechanism yields zero failures; a mutated one is expected to
-    produce witnesses. In rational mode all comparisons are exact.
+    A correct mechanism yields zero failures; a mutated one (a spec from
+    `MUTATIONS`) is expected to produce witnesses. In rational mode all
+    comparisons are exact.
     """
+    parse_mutation(mutation)  # reject a bad spec before any worker starts
     report = VerificationReport("truthfulness", config)
     worker = partial(_truthfulness_record, config, mutation=mutation)
     for record in _collect(worker, config, threads):

@@ -141,6 +141,13 @@ class TestVerify:
         witnesses = json.loads(result.stderr)["witnesses"]
         assert witnesses and witnesses[0]["property"] == "individually_rational"
 
+    @pytest.mark.parametrize("spec", ["bogus", "payment-scale", "payment-scale:x"])
+    def test_bad_mutation_exit_1(self, runner, spec):
+        result = runner.invoke(main, ["verify", "--instances", "2", "--mutate", spec])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert json.loads(result.stderr)["error"] == "ValidationError"
+
     def test_csv_output(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n_range": [2, 5], "instance_count": 6, "rng_seed": 4}))

@@ -1,25 +1,28 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import privauction
 from privauction import (
     AuctionInstance,
     EmptyInstance,
     NonUniformWeights,
     NotCanonical,
-    Permutation,
     ValueInterval,
     canonicalize,
     fair_inner_product,
     filter_assumption1,
     ghosh_roth_special_case,
 )
-from privauction.mechanism import parse_mutation
-from privauction.verify import hardness_instance
+from privauction.verify import hardness_instance, mechanism_under, parse_mutation
 
 from conftest import UNIT, make_instance
 
@@ -130,6 +133,25 @@ class TestErrors:
     def test_single_individual_rejected_by_filter(self):
         with pytest.raises(EmptyInstance):
             filter_assumption1(make_instance([1], [1], 10))
+
+    def test_single_winner_check_survives_optimize(self):
+        # a non-strict star rule picks the star branch on the equality case,
+        # where the threshold r = 1 is not costlier than i_star = 2
+        script = (
+            "import sys\n"
+            "if __debug__: sys.exit('not optimized')\n"
+            "from privauction import AuctionInstance, ValueInterval, mechanism\n"
+            "mechanism.star_wins = lambda w_star, rest: w_star >= rest\n"
+            "inst = AuctionInstance((1.0, 1.0, 2.0), (1.0, 1.0, 2.0), 2.0, ValueInterval(0.0, 1.0))\n"
+            "mechanism.fair_inner_product(inst)\n"
+        )
+        src = Path(privauction.__file__).parents[1]
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.returncode == 1, result.stderr
+        assert "AssertionError: single-winner threshold" in result.stderr
 
 
 class TestGhoshRothSpecialCase:
@@ -249,7 +271,7 @@ class TestMutations:
             parse_mutation("bogus")
 
     def test_payment_scale_breaks_ir(self, hardness):
-        out = fair_inner_product(hardness, mutation="payment-scale:0.3")
+        out = mechanism_under("payment-scale:0.3")(hardness)
         eps = out.dclef.epsilons()
         i = out.selected[0]
         assert out.payments[i] < hardness.unit_costs[i] * eps[i]
@@ -259,7 +281,7 @@ class TestMutations:
         inst = prepared([1, 1, 2], [1, 1, 2], 2.0)
         honest = fair_inner_product(inst)
         assert honest.branch == "topk"
-        mutated = fair_inner_product(inst, mutation="star-nonstrict")
+        mutated = mechanism_under("star-nonstrict")(inst)
         assert mutated.branch == "star"
         eps = mutated.dclef.epsilons()
         i = mutated.selected[0]
@@ -268,20 +290,21 @@ class TestMutations:
     def test_no_threshold_cap_breaks_truthfulness(self):
         # true profile: prefix of two paid B/2 each instead of the successor cap
         inst = prepared([1, 1, 1], [1, 1, 1.5], 10)
-        honest = fair_inner_product(inst, mutation="no-threshold-cap")
+        uncapped = mechanism_under("no-threshold-cap")
+        honest = uncapped(inst)
         deviator = 2  # cost 1.5, unselected, utility 0 honestly
         reported = list(inst.unit_costs)
         reported[deviator] = 0.9
-        deviated, perm = canonicalize(inst.with_unit_costs(reported))
-        out = fair_inner_product(deviated, mutation="no-threshold-cap")
-        pos = perm.to_sorted[deviator]
+        deviated, order = canonicalize(inst.with_unit_costs(reported))
+        out = uncapped(deviated)
+        pos = order.index(deviator)
         utility = out.payments[pos] - 1.5 * out.dclef.epsilons()[pos]
         honest_utility = honest.payments[deviator] - 1.5 * honest.dclef.epsilons()[deviator]
         assert utility > honest_utility + 1e-9
 
     def test_k_include_last_breaks_ir(self):
         inst = prepared([1, 1, 1], [0.1, 0.1, 0.1], 50)
-        out = fair_inner_product(inst, mutation="k-include-last")
+        out = mechanism_under("k-include-last")(inst)
         assert out.k == 3
         eps = out.dclef.epsilons()
         assert math.isinf(eps[0])
@@ -290,9 +313,9 @@ class TestMutations:
 class TestOutcomeJson:
     def test_original_order_mapping(self):
         inst = make_instance([1, 1, 1, 1], [2, 1, 2, 2], 1.5)
-        canonical, perm = canonicalize(inst)
+        canonical, order = canonicalize(inst)
         out = fair_inner_product(canonical)
-        data = out.to_json(perm.to_original)
+        data = out.to_json(order)
         # the cheap individual sits at original index 1
         assert data["O"] == [1]
         assert data["payments"][1] > 0

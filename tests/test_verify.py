@@ -178,6 +178,19 @@ class TestTruthfulnessSweep:
         report = run_truthfulness_sweep(cfg, mutation="star-nonstrict")
         assert not report.ok
 
+    def test_mutant_runs_through_process_pool(self):
+        cfg = SweepConfig(
+            n_range=(2, 6),
+            instance_count=40,
+            weight_distribution="integer-grid",
+            cost_distribution="integer-grid",
+            rng_seed=19,
+        )
+        serial = run_truthfulness_sweep(cfg, mutation="star-nonstrict", threads=1)
+        pooled = run_truthfulness_sweep(cfg, mutation="star-nonstrict", threads=2)
+        assert not serial.ok
+        assert pooled.to_json() == serial.to_json()
+
     def test_threshold_cap_mutation_caught(self):
         cfg = SweepConfig(n_range=(2, 6), instance_count=150, rng_seed=23)
         report = run_truthfulness_sweep(cfg, mutation="no-threshold-cap")
