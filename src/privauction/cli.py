@@ -39,8 +39,36 @@ EXIT_EMPTY = 2
 EXIT_PROPERTY = 3
 
 
+def _dumps(value, pad: str = "") -> str:
+    """The text ``json.dumps`` gives with sorted keys and a two-space indent, at ``pad``.
+
+    Any ``indent`` makes the json module use its pure-Python encoder, so the
+    dicts and lists of containers are laid out here and each list of scalars
+    is encoded by one call to the C encoder, whose item separator carries the
+    newline and indent. Dict keys must be strings.
+    """
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            f"{json.encoder.encode_basestring_ascii(key)}: {_dumps(item, inner)}"
+            for key, item in sorted(value.items())
+        ]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if any(issubclass(kind, (list, tuple, dict)) for kind in set(map(type, value))):
+            body = (",\n" + inner).join(_dumps(item, inner) for item in value)
+        else:
+            body = json.JSONEncoder(separators=(",\n" + inner, ": ")).encode(value)[1:-1]
+        return "[\n" + inner + body + "\n" + pad + "]"
+    return json.dumps(value)
+
+
 def _emit_json(data: dict) -> None:
-    click.echo(json.dumps(data, sort_keys=True, indent=2))
+    click.echo(_dumps(data))
 
 
 def _emit_csv(rows) -> None:

@@ -148,14 +148,21 @@ class AuctionInstance:
         return AuctionInstance(self.weights, tuple(unit_costs), self.budget, self.interval)
 
     def subset(self, indices: Sequence[int]) -> "AuctionInstance":
-        """Instance restricted to the given individuals, order preserved."""
+        """Instance restricted to the given individuals, order preserved.
+
+        Trusts its source: every entry was validated when this instance was
+        built, so the result is assembled without revalidation. Raises
+        EmptyInstance on an empty index list.
+        """
         idx = list(indices)
-        return AuctionInstance(
-            tuple(self.weights[i] for i in idx),
-            tuple(self.unit_costs[i] for i in idx),
-            self.budget,
-            self.interval,
-        )
+        if not idx:
+            raise EmptyInstance("instance has no individuals")
+        out = object.__new__(AuctionInstance)
+        object.__setattr__(out, "weights", tuple(map(self.weights.__getitem__, idx)))
+        object.__setattr__(out, "unit_costs", tuple(map(self.unit_costs.__getitem__, idx)))
+        object.__setattr__(out, "budget", self.budget)
+        object.__setattr__(out, "interval", self.interval)
+        return out
 
     def to_rational(self) -> "AuctionInstance":
         """Exact view: every numeric field converted to `Fraction`."""

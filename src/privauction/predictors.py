@@ -140,10 +140,13 @@ def _drop_negligible(
 ) -> DerivedWeights:
     total = float(np.sum(np.abs(raw)))
     threshold = drop_tol * total
-    kept = [i for i, w in enumerate(raw) if abs(float(w)) > threshold and float(w) != 0.0]
-    dropped = [i for i in range(len(raw)) if i not in set(kept)]
+    mask = (np.abs(raw) > threshold) & (raw != 0.0)
+    kept = np.flatnonzero(mask)
     return DerivedWeights(
-        tuple(float(raw[i]) for i in kept), tuple(kept), tuple(dropped), method
+        tuple(raw[kept].tolist()),
+        tuple(kept.tolist()),
+        tuple(np.flatnonzero(~mask).tolist()),
+        method,
     )
 
 
@@ -295,6 +298,12 @@ def load_feature_csv(source, id_column: bool = False) -> tuple[list[str] | None,
     width = len(rows[0])
     if width < 1:
         raise ParseError("feature CSV has no feature columns")
+    try:
+        # numpy converts each str cell with float(), as the loop below does;
+        # a bad cell or a ragged row raises ValueError
+        return ids, np.array(rows, dtype=np.float64)
+    except ValueError:
+        pass  # the loop below names the first offending row or cell
     matrix = np.empty((len(rows), width))
     for i, row in enumerate(rows):
         if len(row) != width:

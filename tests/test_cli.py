@@ -1,9 +1,14 @@
+import io
 import json
+import math
+from contextlib import redirect_stdout
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from privauction.cli import main
+from privauction.cli import _emit_json, main
 
 
 @pytest.fixture
@@ -360,3 +365,87 @@ class TestRowMapEquivariance:
             data = json.loads(runner.invoke(main, ["run", str(path)]).stdout)
             seen.add((data["branch"], data["r"] is not None))
         assert seen == {("star", True), ("topk", False)}
+
+
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan]),
+    st.text(),
+    st.sampled_from(["a, b", ", ", '"quoted"', "back\\slash", "caf\u00e9 \u2603", "\x00\x1f\n\t"]),
+)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=6),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(), children, max_size=6),
+    ),
+    max_leaves=40,
+)
+
+
+class TestEmitJson:
+    @given(value=JSON_VALUES)
+    @settings(max_examples=500, deadline=None)
+    def test_matches_indented_dumps(self, value):
+        buffer = io.StringIO()
+        with redirect_stdout(buffer):
+            _emit_json(value)
+        assert buffer.getvalue() == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+    @pytest.fixture
+    def instances(self, instance_file):
+        base = {"interval": {"min": 0, "max": 1}}
+        return {
+            # row 2 can never be paid: filtered
+            "filtered": instance_file(
+                {**base, "weights": [1, -1, 5, 2], "unit_costs": [0.1, 0.2, 50, 0.3],
+                 "budget": 1, "database": [0.1, 0.2, 0.3, 0.4]},
+                "filtered.json",
+            ),
+            # free data: everyone fits the budget and the relaxation is degenerate
+            "fits": instance_file(
+                {**base, "weights": [1, 1, 1], "unit_costs": [0, 0, 0],
+                 "budget": 1, "database": [0.5, 0.5, 0.5]},
+                "fits.json",
+            ),
+        }
+
+    @pytest.mark.parametrize(
+        "args",
+        [["run"], ["run", "--compare-opt", "--database"], ["oracle"], ["fractional"]],
+        ids=["run", "run-compare-database", "oracle", "fractional"],
+    )
+    @pytest.mark.parametrize("arithmetic", ["float", "rational"])
+    def test_instance_commands_print_indented_json(self, runner, instances, args, arithmetic):
+        for name, path in instances.items():
+            if name == "fits" and args[0] == "fractional":
+                continue  # the relaxation is degenerate there: an error on stderr
+            command = [args[0], str(path), *args[1:], "--arithmetic", arithmetic]
+            result = runner.invoke(main, command)
+            assert result.exit_code == 0, result.output
+            data = json.loads(result.stdout)
+            assert result.stdout == json.dumps(data, sort_keys=True, indent=2) + "\n"
+            assert bool(data["removed"]) == (name == "filtered")
+            if "--compare-opt" in args and name == "fits":
+                assert data["fractional"]["error"] == "DegenerateAllOnes"
+
+    def test_weights_and_verify_print_indented_json(self, runner, tmp_path):
+        feats = tmp_path / "f.csv"
+        feats.write_text("0,1\n1,0\n2,2\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_range": [2, 6], "instance_count": 20, "rng_seed": 3}))
+        calls = [
+            (["weights", str(feats), "--method", "ridge", "--lam", "0.5", "--query", "1,1",
+              "--costs", "1,2,3", "--budget", "5"], 0),
+            (["verify", str(cfg)], 0),
+            (["verify", str(cfg), "--mutate", "payment-scale:0.9"], 3),
+        ]
+        for args, code in calls:
+            result = runner.invoke(main, args)
+            assert result.exit_code == code, result.output
+            data = json.loads(result.stdout)
+            assert result.stdout == json.dumps(data, sort_keys=True, indent=2) + "\n"

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -64,6 +65,45 @@ class TestAuctionInstance:
         # benchmark limit cases need B = 0 even though files must be positive
         inst = make_instance([1], [1], 0)
         assert inst.budget == 0.0
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            st.tuples(
+                st.floats(allow_nan=False, allow_infinity=False).filter(bool),
+                st.floats(min_value=0, allow_infinity=False),
+            ),
+            st.tuples(
+                st.fractions(-10, 10, max_denominator=20).filter(bool),
+                st.fractions(0, 10, max_denominator=20),
+            ),
+        ],
+        ids=["float", "fraction"],
+    )
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_subset_equals_validated_construction(self, entry, data):
+        entries = data.draw(st.lists(entry, min_size=1, max_size=10))
+        weights, costs = (tuple(column) for column in zip(*entries))
+        number = type(weights[0])
+        interval = ValueInterval(number(0), number(1))
+        inst = AuctionInstance(weights, costs, number(Fraction(3, 2)), interval)
+        picks = data.draw(st.lists(st.integers(0, inst.n - 1), min_size=1, max_size=15))
+        sub = inst.subset(picks)
+        expected = AuctionInstance(
+            tuple(weights[i] for i in picks), tuple(costs[i] for i in picks), inst.budget, interval
+        )
+        assert type(sub) is AuctionInstance
+        assert sub == expected
+        # the entries themselves are shared, so their types are kept
+        pairs = zip(sub.weights + sub.unit_costs, expected.weights + expected.unit_costs)
+        assert all(a is b for a, b in pairs)
+        assert sub.budget is inst.budget and sub.interval is inst.interval
+        assert sub.total_weight == expected.total_weight
+
+    def test_empty_subset_rejected(self):
+        with pytest.raises(EmptyInstance):
+            make_instance([1, 2], [1, 1], 1).subset([])
 
 
 class TestCanonicalize:

@@ -1,8 +1,11 @@
+import csv
 import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privauction import (
     DegenerateKernelMass,
@@ -20,13 +23,101 @@ from privauction import (
     ridge_weights,
 )
 from privauction.errors import IllConditionedWarning, ParseError
-from privauction.predictors import build_instance, load_feature_csv
+from privauction.predictors import (
+    DROP_TOLERANCE,
+    DerivedWeights,
+    _drop_negligible,
+    build_instance,
+    load_feature_csv,
+)
 
 
 def dense(derived, n):
     out = np.zeros(n)
     out[list(derived.kept)] = derived.weights
     return out
+
+
+def reference_drop(raw, method, drop_tol=DROP_TOLERANCE):
+    """Element-by-element drop rule, the reference for the vectorized one."""
+    threshold = drop_tol * float(np.sum(np.abs(raw)))
+    kept = [i for i, w in enumerate(raw) if abs(float(w)) > threshold and float(w) != 0.0]
+    dropped = [i for i in range(len(raw)) if i not in kept]
+    return DerivedWeights(tuple(float(raw[i]) for i in kept), tuple(kept), tuple(dropped), method)
+
+
+def reference_csv(text, id_column=False):
+    """Cell-by-cell CSV parse, the reference for the vectorized one; errors as messages."""
+    rows = [row for row in csv.reader(text.splitlines()) if row]
+    if not rows:
+        return "feature CSV is empty"
+
+    def number(cell):
+        try:
+            return float(cell)
+        except ValueError:
+            return None
+
+    if all(number(cell) is None for cell in rows[0]):
+        rows = rows[1:]
+        if not rows:
+            return "feature CSV has a header but no data rows"
+    ids = None
+    if id_column:
+        ids = [row[0] for row in rows]
+        rows = [row[1:] for row in rows]
+    width = len(rows[0])
+    if width < 1:
+        return "feature CSV has no feature columns"
+    matrix = np.empty((len(rows), width))
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            return f"feature CSV row {i} has {len(row)} columns, expected {width}"
+        for j, cell in enumerate(row):
+            if number(cell) is None:
+                return f"feature CSV cell ({i}, {j}) is not numeric: {cell!r}"
+            matrix[i, j] = number(cell)
+    return ids, matrix
+
+
+def parse_or_message(text, id_column=False):
+    try:
+        return load_feature_csv(io.StringIO(text), id_column=id_column)
+    except ParseError as exc:
+        return str(exc)
+
+
+class TestDropNegligible:
+    @given(
+        raw=st.lists(
+            st.one_of(
+                st.floats(),
+                st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 0.25, -0.25, 0.5, 1.0]),
+            ),
+            max_size=12,
+        ),
+        drop_tol=st.sampled_from([DROP_TOLERANCE, 0.0, 0.125, 0.25, 0.5, 1.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, raw, drop_tol):
+        raw = np.array(raw, dtype=np.float64)
+        got = _drop_negligible(raw, "m", drop_tol)
+        assert got == reference_drop(raw, "m", drop_tol)
+        assert all(type(w) is float for w in got.weights)
+        assert all(type(i) is int for i in got.kept + got.dropped)
+
+    def test_value_at_threshold_dropped(self):
+        # total 1, threshold 0.25: the two entries at 0.25 are not above it
+        raw = np.array([0.5, 0.25, -0.25])
+        got = _drop_negligible(raw, "m", 0.25)
+        assert got == reference_drop(raw, "m", 0.25)
+        assert got.kept == (0,) and got.dropped == (1, 2)
+
+    def test_all_zero_and_non_finite(self):
+        zeros = np.array([0.0, -0.0, 0.0])
+        assert _drop_negligible(zeros, "m").dropped == (0, 1, 2)
+        odd = np.array([1.0, math.nan, math.inf, -0.0])
+        assert _drop_negligible(odd, "m") == reference_drop(odd, "m")
 
 
 class TestKnn:
@@ -242,6 +333,69 @@ class TestFeatureCsv:
     def test_empty(self):
         with pytest.raises(ParseError):
             load_feature_csv(io.StringIO(""))
+
+    @given(
+        cells=st.lists(
+            st.lists(
+                st.one_of(
+                    st.floats(allow_nan=False).map(repr),
+                    st.sampled_from([" 1.5 ", "1_0", "nan", "inf", "-inf", "-0", " 2", "1e3"]),
+                ),
+                min_size=3,
+                max_size=3,
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        width=st.integers(1, 3),
+        header=st.booleans(),
+        id_column=st.booleans(),
+        bad=st.one_of(
+            st.none(),
+            st.tuples(st.integers(0, 7), st.integers(0, 2), st.sampled_from(["x", "", "0x1", "1,5"])),
+        ),
+        ragged=st.one_of(st.none(), st.integers(0, 7)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_cell_by_cell_reference(self, cells, width, header, id_column, bad, ragged):
+        rows = [row[:width] for row in cells]
+        if id_column:
+            rows = [[f"r{i}"] + row for i, row in enumerate(rows)]
+        if bad is not None and bad[0] < len(rows):
+            rows[bad[0]][min(bad[1], len(rows[bad[0]]) - 1)] = bad[2]
+        if ragged is not None and ragged < len(rows):
+            rows[ragged] = rows[ragged][:-1] or ["1", "2"]
+        if header:
+            rows.insert(0, [f"h{j}" for j in range(len(rows[0]))])
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows(rows)
+        text = buffer.getvalue()
+        got, expected = parse_or_message(text, id_column), reference_csv(text, id_column)
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert got[0] == expected[0]
+            assert got[1].dtype == np.float64
+            assert got[1].shape == expected[1].shape
+            assert got[1].tobytes() == expected[1].tobytes()
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("1,2\n3,4\n5\n", "feature CSV row 2 has 1 columns, expected 2"),
+            ("1,2\n3,4\n5,x\n", "feature CSV cell (2, 1) is not numeric: 'x'"),
+            ("1,2\n3,x\n5\n", "feature CSV cell (1, 1) is not numeric: 'x'"),
+            ("", "feature CSV is empty"),
+            ("a,b\n", "feature CSV has a header but no data rows"),
+        ],
+    )
+    def test_error_messages(self, text, message):
+        assert parse_or_message(text) == message == reference_csv(text)
+
+    def test_float_spellings(self):
+        _, matrix = load_feature_csv(io.StringIO(" 1.5 ,1_0,nan\ninf,-0,-inf\n"))
+        expected = np.array([[1.5, 10.0, math.nan], [math.inf, -0.0, -math.inf]])
+        assert matrix.tobytes() == expected.tobytes()
 
 
 class TestBuildInstance:
