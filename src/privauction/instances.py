@@ -17,6 +17,8 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any, Sequence
 
+import numpy as np
+
 from .errors import EmptyInstance, ParseError, ValidationError
 
 __all__ = [
@@ -25,6 +27,7 @@ __all__ = [
     "Database",
     "canonicalize",
     "filter_assumption1",
+    "filter_survivors",
     "prepare",
     "scatter",
     "parse_instance",
@@ -48,6 +51,37 @@ def _check_finite(value: Any, what: str) -> None:
         raise ValidationError(f"{what} is not a number: {value!r}")
     if isinstance(value, float) and not math.isfinite(value):
         raise ValidationError(f"{what} is not finite: {value!r}")
+
+
+def _is_zero(value):
+    return value == 0
+
+
+def _is_negative(value):
+    return value < 0
+
+
+def _check_entries(values: tuple, what: str, rejects, reason: str, parsed: bool) -> None:
+    """Raise on the first entry that is not a finite number or that ``rejects``.
+
+    With ``parsed`` every entry is a float, so one numpy pass finds the first
+    offending index and only that entry is looked at again, for its message.
+    ``rejects`` must work elementwise on an array as on a number.
+    """
+    if parsed:
+        array = np.array(values, dtype=np.float64)
+        first = np.flatnonzero(~np.isfinite(array) | rejects(array))[:1].tolist()
+        entries = ((i, values[i]) for i in first)
+    else:
+        entries = enumerate(values)
+    for i, value in entries:
+        if (
+            not _is_number(value)
+            or (isinstance(value, float) and not math.isfinite(value))
+            or rejects(value)
+        ):
+            _check_finite(value, f"{what} at index {i}")
+            raise ValidationError(reason.format(i))
 
 
 @dataclass(frozen=True)
@@ -95,6 +129,14 @@ class AuctionInstance:
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", tuple(self.weights))
         object.__setattr__(self, "unit_costs", tuple(self.unit_costs))
+        self._validate(parsed=False)
+
+    def _validate(self, parsed: bool) -> None:
+        """Check every field; ``parsed`` marks entries as floats `_number_list` typed.
+
+        Parsed entries skip the per-entry type check and get their value
+        checks in one vectorized pass; the errors are the same either way.
+        """
         n = len(self.weights)
         if n < 1:
             raise EmptyInstance("instance has no individuals")
@@ -102,19 +144,25 @@ class AuctionInstance:
             raise ValidationError(
                 f"length mismatch: {n} weights vs {len(self.unit_costs)} unit costs"
             )
-        for i, w in enumerate(self.weights):
-            _check_finite(w, f"weight at index {i}")
-            if w == 0:
-                raise ValidationError(f"weight zero at index {i}")
-        for i, v in enumerate(self.unit_costs):
-            _check_finite(v, f"unit cost at index {i}")
-            if v < 0:
-                raise ValidationError(f"negative unit cost at index {i}")
+        _check_entries(self.weights, "weight", _is_zero, "weight zero at index {}", parsed)
+        _check_entries(
+            self.unit_costs, "unit cost", _is_negative, "negative unit cost at index {}", parsed
+        )
         _check_finite(self.budget, "budget")
         if self.budget < 0:
             raise ValidationError("negative budget")
         if not isinstance(self.interval, ValueInterval):
             raise ValidationError("interval must be a ValueInterval")
+
+    @classmethod
+    def _trusted(cls, weights: tuple, unit_costs: tuple, budget, interval) -> "AuctionInstance":
+        """Assemble an instance from fields known to be valid, without checking them."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "weights", weights)
+        object.__setattr__(out, "unit_costs", unit_costs)
+        object.__setattr__(out, "budget", budget)
+        object.__setattr__(out, "interval", interval)
+        return out
 
     @property
     def n(self) -> int:
@@ -157,12 +205,12 @@ class AuctionInstance:
         idx = list(indices)
         if not idx:
             raise EmptyInstance("instance has no individuals")
-        out = object.__new__(AuctionInstance)
-        object.__setattr__(out, "weights", tuple(map(self.weights.__getitem__, idx)))
-        object.__setattr__(out, "unit_costs", tuple(map(self.unit_costs.__getitem__, idx)))
-        object.__setattr__(out, "budget", self.budget)
-        object.__setattr__(out, "interval", self.interval)
-        return out
+        return AuctionInstance._trusted(
+            tuple(map(self.weights.__getitem__, idx)),
+            tuple(map(self.unit_costs.__getitem__, idx)),
+            self.budget,
+            self.interval,
+        )
 
     def to_rational(self) -> "AuctionInstance":
         """Exact view: every numeric field converted to `Fraction`."""
@@ -228,6 +276,32 @@ def canonicalize(instance: AuctionInstance) -> tuple[AuctionInstance, tuple[int,
     return instance.subset(order), order
 
 
+def filter_survivors(
+    instance: AuctionInstance, exempt: int | None = None
+) -> tuple[list[int], Number]:
+    """The filter's simultaneous rounds: survivors in input order, and their total weight.
+
+    The individual ``exempt`` skips its own test and so stays alive; the
+    others' tests never read its cost. See `filter_assumption1`.
+    """
+    budget = instance.budget
+    wabs = instance.abs_weights
+    costs = instance.unit_costs
+    alive = list(range(instance.n))
+    while True:
+        total = sum(wabs[i] for i in alive)
+        violators = [
+            i
+            for i in alive
+            if i != exempt
+            and (total - wabs[i] <= 0 or wabs[i] * costs[i] > budget * (total - wabs[i]))
+        ]
+        if not violators:
+            return alive, total
+        gone = set(violators)
+        alive = [i for i in alive if i not in gone]
+
+
 def filter_assumption1(instance: AuctionInstance) -> tuple[AuctionInstance, list[int]]:
     """Remove individuals whose tight payment can never fit the budget.
 
@@ -241,29 +315,13 @@ def filter_assumption1(instance: AuctionInstance) -> tuple[AuctionInstance, list
     of the input order within a round. When nobody is removed the input
     instance itself is returned.
     """
-    budget = instance.budget
-    wabs = instance.abs_weights
-    costs = instance.unit_costs
-    alive = list(range(instance.n))
-    removed: list[int] = []
-    while alive:
-        total = sum(wabs[i] for i in alive)
-        violators = [
-            i
-            for i in alive
-            if total - wabs[i] <= 0 or wabs[i] * costs[i] > budget * (total - wabs[i])
-        ]
-        if not violators:
-            break
-        removed.extend(violators)
-        gone = set(violators)
-        alive = [i for i in alive if i not in gone]
+    alive, _ = filter_survivors(instance)
     if not alive:
         raise EmptyInstance("every individual violates the affordability condition")
-    if not removed:
-        return instance, removed
-    removed.sort()
-    return instance.subset(alive), removed
+    if len(alive) == instance.n:
+        return instance, []
+    kept = set(alive)
+    return instance.subset(alive), [i for i in range(instance.n) if i not in kept]
 
 
 def prepare(instance: AuctionInstance) -> tuple[AuctionInstance, tuple[int, ...], list[int]]:
@@ -336,7 +394,9 @@ def parse_instance(data: dict) -> AuctionInstance:
     if not (_is_number(lo) and _is_number(hi)):
         raise ParseError("interval bounds must be numbers")
     interval = ValueInterval(float(lo), float(hi))
-    return AuctionInstance(weights, unit_costs, float(raw_budget), interval)
+    instance = AuctionInstance._trusted(weights, unit_costs, float(raw_budget), interval)
+    instance._validate(parsed=True)  # each entry was type-checked once, above
+    return instance
 
 
 def parse_database(data: dict, instance: AuctionInstance) -> Database | None:

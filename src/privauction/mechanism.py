@@ -4,12 +4,13 @@ Given a canonical (cost-sorted), affordability-filtered instance, the auction
 either pays the longest affordable prefix of cheap individuals in proportion
 to their weight magnitudes, or pays only the single heaviest individual when
 that individual outweighs the rest of the prefix. The rule functions
-`prefix_length`, `star_wins` and `topk_rate` make those three decisions;
-`run_rules` builds an outcome from any three rules, and `fair_inner_product`
-runs the honest ones. Threshold comparisons are evaluated in cross-multiplied
-form, with no divisions, so runs on small-integer data are exact in double
-precision and agree bit-for-bit with the rational-arithmetic mode. Outcomes
-are indexed by canonical position;
+`prefix_length`, `star_wins` and `topk_rate` make those three decisions on
+plain values; `decide` applies any three rules to plain canonical
+sequences, `run_rules` builds an outcome from its decisions, and
+`fair_inner_product` runs the honest rules. Threshold comparisons are
+evaluated in cross-multiplied form, with no divisions, so runs on
+small-integer data are exact in double precision and agree bit-for-bit with
+the rational-arithmetic mode. Outcomes are indexed by canonical position;
 ``MechanismOutcome.to_json`` reports them by input row through the row map
 of `instances.prepare`.
 """
@@ -78,18 +79,18 @@ class MechanismOutcome:
         }
 
 
-def prefix_length(instance: AuctionInstance, prefix: Sequence) -> int:
+def prefix_length(budget, total, costs: Sequence, prefix: Sequence) -> int:
     """Prefix rule: the largest ``t < n`` with ``B * (W - w([t])) >= v_t * w([t])``.
 
     The scan stops at the first failure. The final position never qualifies
     (its residual weight is zero, making the threshold unbeatable), so a
     successor cost always exists for the prefix payment rule.
     """
-    budget, total, costs = instance.budget, instance.total_weight, instance.unit_costs
-    for t in range(1, instance.n):
+    n = len(costs)
+    for t in range(1, n):
         if not budget * (total - prefix[t]) >= costs[t - 1] * prefix[t]:
             return t - 1
-    return instance.n - 1
+    return n - 1
 
 
 def star_wins(w_star, rest) -> bool:
@@ -97,36 +98,32 @@ def star_wins(w_star, rest) -> bool:
     return w_star > rest
 
 
-def topk_rate(instance: AuctionInstance, prefix: Sequence, k: int):
+def topk_rate(budget, total, costs: Sequence, prefix: Sequence, k: int):
     """Rate rule: ``B / w([k])``, capped by the successor's ``v_{k+1} / (W - w([k]))``."""
-    budget, cw, residual = instance.budget, prefix[k], instance.total_weight - prefix[k]
-    if k == instance.n or budget * residual <= instance.unit_costs[k] * cw:
+    cw, residual = prefix[k], total - prefix[k]
+    if k == len(costs) or budget * residual <= costs[k] * cw:
         return budget / cw
-    return instance.unit_costs[k] / residual
+    return costs[k] / residual
 
 
-def run_rules(instance: AuctionInstance, identity, prefix_rule, star_rule, rate_rule):
-    """Outcome of the auction whose three decisions are made by the given rules.
+def decide(wabs: Sequence, costs: Sequence, ids: Sequence[int], budget, total, rules):
+    """The auction's decisions on canonical plain sequences.
 
-    The rules are called like `prefix_length`, `star_wins` and `topk_rate`.
+    ``wabs`` and ``costs`` are the weight magnitudes and unit costs in
+    canonical order, ``ids`` the tie-break labels, ``total`` their weight sum
+    in that order, and ``rules`` a ``(prefix_rule, star_rule, rate_rule)``
+    triple called like `prefix_length`, `star_wins` and `topk_rate`.
+    Returns ``(k, i_star, r, p_hat, rate)``: the single-winner branch fired
+    when ``rate`` is None, and ``r`` and ``p_hat`` are None otherwise.
     """
-    n = instance.n
-    costs = instance.unit_costs
-    if not instance.is_canonical:
-        raise NotCanonical("unit costs must be sorted; canonicalize the instance first")
-    ids = range(n) if identity is None else identity
-    if len(ids) != n:
-        raise ValidationError("identity labels do not match the instance size")
-    wabs = instance.abs_weights
-    total = instance.total_weight
-    budget = instance.budget
+    prefix_rule, star_rule, rate_rule = rules
+    n = len(wabs)
     zero = wabs[0] * 0
-
     prefix = [zero] * (n + 1)  # prefix[t] = w([t])
     for t in range(1, n + 1):
         prefix[t] = prefix[t - 1] + wabs[t - 1]
 
-    k = prefix_rule(instance, prefix)
+    k = prefix_rule(budget, total, costs, prefix)
     if k == 0:
         raise EmptyInstance(
             "no affordable prefix exists; the instance was not affordability-filtered"
@@ -138,24 +135,56 @@ def run_rules(instance: AuctionInstance, identity, prefix_rule, star_rule, rate_
             i_star = i
     w_star = wabs[i_star]
 
-    payments = [zero] * n
-    if star_rule(w_star, prefix[k] - (w_star if i_star < k else zero)):
-        r = None
-        for t in range(1, n + 1):
-            if t - 1 == i_star:
-                continue
-            others = prefix[t] - (w_star if i_star < t else zero)
-            if others >= w_star and budget * (total - others) >= costs[t - 1] * others:
-                r = t - 1
-                break
-        p_hat = budget if r is None else w_star * costs[r] / (total - w_star)
+    if not star_rule(w_star, prefix[k] - (w_star if i_star < k else zero)):
+        return k, i_star, None, None, rate_rule(budget, total, costs, prefix, k)
+    r = None
+    for t in range(1, n + 1):
+        if t - 1 == i_star:
+            continue
+        others = prefix[t] - (w_star if i_star < t else zero)
+        if others >= w_star and budget * (total - others) >= costs[t - 1] * others:
+            r = t - 1
+            break
+    p_hat = budget if r is None else w_star * costs[r] / (total - w_star)
+    return k, i_star, r, p_hat, None
+
+
+def check_single_winner(k: int, i_star: int, r) -> None:
+    """Raise AssertionError, also under ``python -O``, on an inconsistent threshold.
+
+    A threshold ``r`` cannot exist when ``i_star > k`` (a heavy individual
+    beyond the prefix leaves no candidate) or ``r <= i_star`` (any candidate
+    is costlier).
+    """
+    if r is not None and not (i_star <= k and r > i_star):
+        raise AssertionError(
+            f"single-winner threshold r={r} inconsistent with i_star={i_star}, k={k}"
+        )
+
+
+def run_rules(instance: AuctionInstance, identity, prefix_rule, star_rule, rate_rule):
+    """Outcome of the auction whose three decisions are made by the given rules.
+
+    The rules are called like `prefix_length`, `star_wins` and `topk_rate`.
+    """
+    n = instance.n
+    if not instance.is_canonical:
+        raise NotCanonical("unit costs must be sorted; canonicalize the instance first")
+    ids = range(n) if identity is None else identity
+    if len(ids) != n:
+        raise ValidationError("identity labels do not match the instance size")
+    wabs = instance.abs_weights
+    k, i_star, r, p_hat, rate = decide(
+        wabs, instance.unit_costs, ids, instance.budget, instance.total_weight,
+        (prefix_rule, star_rule, rate_rule),
+    )
+    payments = [wabs[0] * 0] * n
+    if rate is None:
         payments[i_star] = p_hat
         selected = (i_star,)
         branch = "star"
     else:
-        r = p_hat = None
         selected = tuple(range(k))
-        rate = rate_rule(instance, prefix, k)
         for i in selected:
             payments[i] = wabs[i] * rate
         branch = "topk"
@@ -177,16 +206,11 @@ def fair_inner_product(
     tie-break would let one of two equally heavy individuals underbid to
     capture the single-winner payment, breaking truthfulness.
 
-    Raises AssertionError, also under ``python -O``, when a threshold ``r``
-    exists although ``i_star > k`` (a heavy individual beyond the prefix
-    leaves no candidate) or ``r <= i_star`` (any candidate is costlier).
+    Raises AssertionError through `check_single_winner`, also under
+    ``python -O``.
     """
     outcome = run_rules(instance, identity, prefix_length, star_wins, topk_rate)
-    r = outcome.r
-    if r is not None and not (outcome.i_star <= outcome.k and r > outcome.i_star):
-        raise AssertionError(
-            f"single-winner threshold r={r} inconsistent with i_star={outcome.i_star}, k={outcome.k}"
-        )
+    check_single_winner(outcome.k, outcome.i_star, outcome.r)
     return outcome
 
 

@@ -6,10 +6,22 @@ agree), and every reported failure carries the config seed and index needed
 to regenerate its instance exactly. The harness also owns fault injection:
 each of `MUTATIONS` swaps one of `mechanism`'s rule functions for a faulty
 one or scales the honest payments, so a sweep can show it catches the fault.
+
+The truthfulness sweep replays every misreport on the grid through
+`deviator_kernel` rather than the whole filter-sort-mechanism pipeline. The
+mechanism is a single-parameter threshold auction, so only the deviator's
+own payment and privacy loss respond to its report ``z``. While the deviator
+``i`` is alive, the others' filter tests do not read ``z``, so the filter runs
+once per deviator with ``i``'s own test skipped; ``i`` survives iff it
+passes against the final survivor total ``W'``, that is
+``W' - |w_i| > 0`` and ``|w_i| * z <= B * (W' - |w_i|)``. Each report then
+costs one bisect into the others' canonical order and one O(n) pass, bit for
+bit equal to the pipeline (`_deviation_utility`, kept as the reference).
 """
 
 import math
 import os
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -18,8 +30,16 @@ from functools import partial
 import numpy as np
 
 from .errors import EmptyInstance, ParameterOutOfRange, ValidationError
-from .instances import AuctionInstance, ValueInterval, prepare
-from .mechanism import fair_inner_product, prefix_length, run_rules, star_wins, topk_rate
+from .instances import AuctionInstance, ValueInterval, filter_survivors, prepare
+from .mechanism import (
+    check_single_winner,
+    decide,
+    fair_inner_product,
+    prefix_length,
+    run_rules,
+    star_wins,
+    topk_rate,
+)
 from .optimal import ORACLE_LIMIT, opt_bounds_check
 
 __all__ = [
@@ -29,6 +49,7 @@ __all__ = [
     "hardness_instance",
     "generate_instance",
     "misreport_grid",
+    "deviator_kernel",
     "run_truthfulness_sweep",
     "run_approximation_sweep",
     "default_threads",
@@ -272,21 +293,22 @@ def misreport_grid(costs, i: int, rational: bool = False) -> tuple:
 
 # --- fault injection ----------------------------------------------------------
 
-def _k_include_last(instance: AuctionInstance, prefix) -> int:
+def _k_include_last(budget, total, costs, prefix) -> int:
     """Treats the final position's zero residual weight as affordable."""
-    k = prefix_length(instance, prefix)
-    return instance.n if k == instance.n - 1 else k
+    k = prefix_length(budget, total, costs, prefix)
+    return len(costs) if k == len(costs) - 1 else k
 
 
 def _star_nonstrict(w_star, rest) -> bool:
     return w_star >= rest
 
 
-def _uncapped_rate(instance: AuctionInstance, prefix, k: int):
+def _uncapped_rate(budget, total, costs, prefix, k: int):
     """Pays the prefix the whole budget, ignoring the successor's threshold."""
-    return instance.budget / prefix[k]
+    return budget / prefix[k]
 
 
+_HONEST_RULES = (prefix_length, star_wins, topk_rate)
 _MUTANT_RULES = {
     "k-include-last": (_k_include_last, star_wins, topk_rate),
     "star-nonstrict": (prefix_length, _star_nonstrict, topk_rate),
@@ -337,17 +359,13 @@ def mechanism_under(mutation: str | None):
 
 # --- per-instance checks ----------------------------------------------------
 
-def _utility(outcome, position: int, true_cost):
-    return outcome.payments[position] - true_cost * outcome.dclef.epsilons()[position]
-
-
 def _deviation_utility(reported_instance, i: int, true_cost, mechanism):
     """Utility of individual ``i`` under the deployed filter-then-run pipeline.
 
     A report that violates the affordability condition gets the deviator
     filtered out: no payment, no exposure, zero utility. The input rows are
     passed as the identity labels so weight ties break by the pre-report
-    labeling.
+    labeling. This is the reference that `deviator_kernel` reproduces.
     """
     try:
         canonical, rows, removed = prepare(reported_instance)
@@ -356,7 +374,80 @@ def _deviation_utility(reported_instance, i: int, true_cost, mechanism):
     if i in removed:
         return 0
     outcome = mechanism(canonical, identity=rows)
-    return _utility(outcome, rows.index(i), true_cost)
+    position = rows.index(i)
+    return outcome.payments[position] - true_cost * outcome.dclef.epsilons()[position]
+
+
+def deviator_kernel(instance: AuctionInstance, i: int, mutation: str | None = None):
+    """Individual ``i``'s utility as a function of its report, one pipeline run per deviator.
+
+    Returns ``utility(z, true_cost)``, equal bit for bit to `_deviation_utility`
+    on ``instance`` with ``i``'s cost replaced by ``z``, under
+    ``mechanism_under(mutation)``, in O(n) per report and with no instance,
+    estimator or outcome built.
+
+    Filter once: while ``i`` is alive, every other individual's filter test
+    reads only its own cost and the survivor total, never ``z``. So the
+    filter rounds run once with ``i``'s own test skipped, giving the final
+    survivor total ``W'``. The total only falls between rounds, so ``i``
+    survives the real filter iff it passes the final round:
+    ``W' - |w_i| > 0`` and ``|w_i| * z <= B * (W' - |w_i|)``, tested in the
+    filter's own cross-multiplied form. Otherwise its utility is 0.
+
+    Per report: the other survivors are sorted once by ``(cost, input row)``
+    and ``i`` is bisected in with key ``(z, i)``, which is the canonical order
+    `instances.prepare` produces. Sums run in canonical order, as the
+    pipeline's do, and `mechanism.decide` makes the decisions, so only
+    ``i``'s payment and privacy loss are left to compute.
+    """
+    name, factor = parse_mutation(mutation)
+    rules = _MUTANT_RULES.get(name, _HONEST_RULES)
+    checked = name not in _MUTANT_RULES
+    budget = instance.budget
+    wabs, costs = instance.abs_weights, instance.unit_costs
+    w_i = wabs[i]
+
+    alive, total = filter_survivors(instance, exempt=i)
+    residual = total - w_i
+    cap = budget * residual
+    others = sorted((costs[j], j) for j in alive if j != i)
+    other_wabs = [wabs[j] for _, j in others]
+    other_costs = [c for c, _ in others]
+    other_rows = [j for _, j in others]
+
+    def utility(z, true_cost):
+        if residual <= 0 or w_i * z > cap:
+            return 0
+        pos = bisect_left(others, (z, i))
+        ws, cs, ids = other_wabs.copy(), other_costs.copy(), other_rows.copy()
+        ws.insert(pos, w_i)
+        cs.insert(pos, z)
+        ids.insert(pos, i)
+        k, i_star, r, p_hat, rate = decide(ws, cs, ids, budget, sum(ws), rules)
+        if checked:
+            check_single_winner(k, i_star, r)
+        zero = ws[0] * 0
+        if rate is None:
+            selected = pos == i_star
+            payment = p_hat if selected else zero
+            del ws[i_star]
+            unselected = ws
+        else:
+            selected = pos < k
+            payment = w_i * rate if selected else zero
+            unselected = ws[k:]
+        if factor is not None:
+            payment = payment * factor
+        # Dclef.residual_weight and Dclef.epsilons, for i alone
+        resid = sum(unselected)
+        x_i = 1 if selected else 0
+        if resid == 0:
+            eps = math.inf if x_i else 0.0
+        else:
+            eps = w_i * x_i / resid
+        return payment - true_cost * eps
+
+    return utility
 
 
 def _finite_or_repr(value):
@@ -421,14 +512,12 @@ def _truthfulness_record(config: SweepConfig, index: int, mutation: str | None) 
     slack = 0 if rational else TRUTHFUL_SLACK
     for i in range(instance.n):
         true_cost = instance.unit_costs[i]
-        honest_utility = _utility(outcome, i, true_cost)
+        honest_utility = outcome.payments[i] - true_cost * eps[i]
+        deviate = deviator_kernel(instance, i, mutation)
         for z in misreport_grid(instance.unit_costs, i, rational):
-            reported = list(instance.unit_costs)
-            reported[i] = z
-            dev_utility = _deviation_utility(
-                instance.with_unit_costs(reported), i, true_cost, mechanism
-            )
-            if dev_utility > honest_utility + slack:
+            dev_utility = deviate(z, true_cost)
+            # a NaN utility fails the check: only a proven "no gain" passes
+            if not dev_utility <= honest_utility + slack:
                 truthful_ok = False
                 failures.append(
                     _witness(

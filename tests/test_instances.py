@@ -321,6 +321,61 @@ class TestJsonIO:
         with pytest.raises(ParseError, match="line 1"):
             load_instance(path)
 
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("[1]", ParseError, "instance document must be a JSON object"),
+            ('{"unit_costs": [1]}', ParseError, "missing field 'weights'"),
+            ('{"weights": 1, "unit_costs": [1]}', ParseError,
+             "field 'weights' must be a list of numbers"),
+            ('{"weights": [1, "2"], "unit_costs": [1, 1]}', ParseError,
+             "field 'weights' has a non-numeric entry at index 1"),
+            ('{"weights": [1, true], "unit_costs": [1, 1]}', ParseError,
+             "field 'weights' has a non-numeric entry at index 1"),
+            ('{"weights": [1, 1], "unit_costs": [null, 1]}', ParseError,
+             "field 'unit_costs' has a non-numeric entry at index 0"),
+            # every entry is type-checked before any value is
+            ('{"weights": [Infinity], "unit_costs": ["a"]}', ParseError,
+             "field 'unit_costs' has a non-numeric entry at index 0"),
+            ('{"weights": [1], "unit_costs": [1], "budget": false}', ParseError,
+             "field 'budget' must be a number"),
+            ('{"weights": [1], "unit_costs": [1], "budget": -1}', ValidationError,
+             "budget must be positive"),
+            ('{"weights": [1], "unit_costs": [1], "budget": 1, "interval": [0, 1]}', ParseError,
+             "field 'interval' must be an object with 'min' and 'max'"),
+            ('{"weights": [1], "unit_costs": [1], "budget": 1, "interval": {"min": 0, "max": "1"}}',
+             ParseError, "interval bounds must be numbers"),
+            ('{"weights": [1], "unit_costs": [1], "budget": 1, "interval": {"min": 0, "max": Infinity}}',
+             ValidationError, "interval maximum is not finite: inf"),
+            ('{"weights": [], "unit_costs": [], "budget": 1, "interval": {"min": 0, "max": 1}}',
+             EmptyInstance, "instance has no individuals"),
+            ('{"weights": [1, 2], "unit_costs": [1], "budget": 1, "interval": {"min": 0, "max": 1}}',
+             ValidationError, "length mismatch: 2 weights vs 1 unit costs"),
+            ('{"weights": [1, Infinity], "unit_costs": [1, 1], "budget": 1, "interval": {"min": 0, "max": 1}}',
+             ValidationError, "weight at index 1 is not finite: inf"),
+            ('{"weights": [1, -Infinity, 0], "unit_costs": [1, 1, 1], "budget": 1, "interval": {"min": 0, "max": 1}}',
+             ValidationError, "weight at index 1 is not finite: -inf"),
+            ('{"weights": [1, -0.0, NaN], "unit_costs": [1, 1, 1], "budget": 1, "interval": {"min": 0, "max": 1}}',
+             ValidationError, "weight zero at index 1"),
+            ('{"weights": [1, 2], "unit_costs": [NaN, -1], "budget": 1, "interval": {"min": 0, "max": 1}}',
+             ValidationError, "unit cost at index 0 is not finite: nan"),
+            ('{"weights": [1, 2], "unit_costs": [-0.0, -1e-300], "budget": 1, "interval": {"min": 0, "max": 1}}',
+             ValidationError, "negative unit cost at index 1"),
+            # value checks on weights come before any on costs
+            ('{"weights": [1, 0], "unit_costs": [-1, 1], "budget": 1, "interval": {"min": 0, "max": 1}}',
+             ValidationError, "weight zero at index 1"),
+            ('{"weights": [1], "unit_costs": [1], "budget": Infinity, "interval": {"min": 0, "max": 1}}',
+             ValidationError, "budget is not finite: inf"),
+            ('{"weights": [1], "unit_costs": [1], "budget": NaN, "interval": {"min": 0, "max": 1}}',
+             ValidationError, "budget is not finite: nan"),
+        ],
+    )
+    def test_malformed_instance_messages(self, text, error, message):
+        with pytest.raises(error) as caught:
+            load_instance(io.StringIO(text))
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+
     def test_database_block(self, instance_file):
         from privauction.instances import load_database
 

@@ -1,22 +1,33 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privauction import (
     AuctionInstance,
+    EmptyInstance,
     ParameterOutOfRange,
     ValidationError,
     brute_force_opt,
     fair_inner_product,
+    prepare,
 )
 from privauction.verify import (
+    MUTATIONS,
     SweepConfig,
+    _deviation_utility,
+    _truthfulness_record,
+    deviator_kernel,
     generate_instance,
     hardness_instance,
+    mechanism_under,
     misreport_grid,
     run_approximation_sweep,
     run_truthfulness_sweep,
 )
+
+from conftest import UNIT
 
 
 class TestHardnessInstance:
@@ -213,6 +224,112 @@ class TestTruthfulnessSweep:
         for name, tally in float_report.tallies.items():
             other = rational_report.tallies[name]
             assert (tally.passed, tally.failed) == (other.passed, other.failed)
+
+
+MUTATION_SPECS = [None] + [
+    f"{name}:0.9" if name == "payment-scale" else name for name in MUTATIONS
+]
+
+
+def _bits(value):
+    """Bitwise identity for floats (every NaN alike), type and value otherwise."""
+    if isinstance(value, float):
+        return value.hex()
+    return type(value), value
+
+
+def _outcome(call):
+    try:
+        return _bits(call())
+    except Exception as exc:  # both paths must raise alike
+        return type(exc), str(exc)
+
+
+@st.composite
+def deviation_instances(draw):
+    """Small instances, filtered or not, in either order, float or Fraction.
+
+    Weights and costs come from short grids so that weight ties, cost ties
+    and misreports equal to another's cost are common; low budgets make the
+    filter remove deviators and leave sole survivors.
+    """
+    n = draw(st.integers(2, 6))
+    magnitudes = st.sampled_from([1, 1, 2, 3, 0.1, 0.7, 2.5])
+    weights = [draw(magnitudes) * draw(st.sampled_from([1, -1])) for _ in range(n)]
+    costs = draw(st.lists(st.sampled_from([0, 0.3, 1, 1, 2, 3, 7]), min_size=n, max_size=n))
+    budget = draw(st.sampled_from([0.25, 0.5, 1, 2, 5, 40]))
+    instance = AuctionInstance(
+        tuple(float(w) for w in weights), tuple(float(c) for c in costs), float(budget), UNIT
+    )
+    rational = draw(st.booleans())
+    return (instance.to_rational() if rational else instance), rational
+
+
+class TestDeviatorKernel:
+    @pytest.mark.parametrize("mutation", MUTATION_SPECS)
+    @given(case=deviation_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_pipeline_on_every_grid_report(self, mutation, case):
+        instance, rational = case
+        mechanism = mechanism_under(mutation)
+        for i in range(instance.n):
+            true_cost = instance.unit_costs[i]
+            kernel = deviator_kernel(instance, i, mutation)
+            for z in misreport_grid(instance.unit_costs, i, rational):
+                reported = list(instance.unit_costs)
+                reported[i] = z
+                expected = _outcome(
+                    lambda: _deviation_utility(
+                        instance.with_unit_costs(reported), i, true_cost, mechanism
+                    )
+                )
+                assert _outcome(lambda: kernel(z, true_cost)) == expected, (i, z)
+
+    def test_survival_threshold_matches_filter(self):
+        # i = 0 survives iff z <= B (W' - |w_0|) / |w_0| = 2
+        inst = AuctionInstance((1.0, 1.0, 1.0), (0.5, 0.5, 0.5), 1.0, UNIT)
+        kernel = deviator_kernel(inst, 0)
+        mechanism = mechanism_under(None)
+        for z, filtered in ((2.0, False), (math.nextafter(2.0, math.inf), True)):
+            reported = inst.with_unit_costs((z, 0.5, 0.5))
+            assert (0 in prepare(reported)[2]) is filtered
+            expected = _deviation_utility(reported, 0, 0.5, mechanism)
+            assert _bits(kernel(z, 0.5)) == _bits(expected)
+
+    def test_sole_survivor_gets_zero(self):
+        # the costly partner is filtered whatever individual 0 reports, which
+        # leaves individual 0 alone, and a sole survivor is filtered too
+        inst = AuctionInstance((1.0, 1.0), (0.5, 9.0), 1.0, UNIT)
+        kernel = deviator_kernel(inst, 0)
+        for z in (0.0, 0.5, 1.0):
+            with pytest.raises(EmptyInstance):
+                prepare(inst.with_unit_costs((z, 9.0)))
+            assert kernel(z, 0.5) == 0
+
+
+class TestNanUtility:
+    def test_nan_utility_is_a_truthful_witness(self):
+        # k-include-last selects everyone: epsilons are the float inf, and the
+        # cost-0 individual 0's honest utility is Fraction(0) * inf = nan
+        cfg = SweepConfig(
+            n_range=(2, 8),
+            instance_count=20,
+            weight_distribution="integer-grid",
+            cost_distribution="integer-grid",
+            arithmetic_mode="rational",
+            rng_seed=1,
+        )
+        assert generate_instance(cfg, 3).unit_costs[0] == 0
+        record = _truthfulness_record(cfg, 3, "k-include-last")
+        assert not record["checks"]["truthful"]
+        nan_witnesses = [
+            w for w in record["failures"]
+            if w["property"] == "truthful" and w["honest_utility"] == "nan"
+        ]
+        assert nan_witnesses
+        assert {w["individual"] for w in nan_witnesses} == {0}
+        # the honest mechanism on the same instance is clean
+        assert _truthfulness_record(cfg, 3, None)["checks"]["truthful"]
 
 
 class TestApproximationSweep:
