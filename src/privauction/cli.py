@@ -31,7 +31,7 @@ from .instances import (
 from .mechanism import fair_inner_product
 from .optimal import brute_force_opt, fractional_optimum
 from .predictors import FeatureSet, WeightSpec, build_instance, load_feature_csv
-from .verify import SweepConfig, default_threads, run_approximation_sweep, run_truthfulness_sweep
+from .verify import SweepConfig, run_approximation_sweep, run_truthfulness_sweep
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -181,7 +181,6 @@ def cmd_verify(config_path, mutate, seed, instances, arithmetic, threads, skip_a
         if arithmetic is not None:
             data["arithmetic_mode"] = arithmetic
         config = SweepConfig.from_json(data)
-        threads = default_threads() if threads is None else threads
         truthfulness = run_truthfulness_sweep(config, mutation=mutate, threads=threads)
         reports = {"truthfulness": truthfulness.to_json()}
         approximation = None

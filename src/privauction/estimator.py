@@ -281,42 +281,56 @@ def _loss_terms(estimator: Lef | Dclef) -> tuple[tuple, object]:
     return estimator.epsilons(), 1.0
 
 
-def privacy_index_exact(estimator: Dclef | Lef) -> PrivacyIndexResult:
-    """Exact privacy index by exhaustive subset search (strict sum < 1/2).
+def _heaviest_fitting(profits: Sequence, sizes: Sequence, fits) -> tuple:
+    """Exact search for the subset of largest total profit whose size sum ``fits``.
 
-    Depth-first with include-before-exclude order and strict-improvement
-    updates, so ties resolve to the lexicographically smallest witness.
+    Depth-first in index order, include before exclude, with both sums
+    accumulated left to right; a branch is pruned when even all the remaining
+    profit cannot beat the incumbent, and only a strict improvement at a leaf
+    replaces it, so ties resolve to the lexicographically smallest witness.
+    Returns ``(profit, witness)``.
     """
-    wabs = estimator.instance.abs_weights
-    nums, den = _loss_terms(estimator)
-    n = len(wabs)
-    if n > EXACT_INDEX_LIMIT:
-        raise InstanceTooLarge(f"exhaustive privacy index limited to n <= {EXACT_INDEX_LIMIT}")
-    suffix = [wabs[0] * 0] * (n + 1)
+    n = len(profits)
+    zero = profits[0] * 0
+    suffix = [zero] * (n + 1)
     for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + wabs[i]
+        suffix[i] = suffix[i + 1] + profits[i]
 
-    best_beta = wabs[0] * 0
+    best_value = zero
     best_witness: tuple[int, ...] = ()
 
-    def search(i: int, loss_sum, weight_sum, chosen: list[int]) -> None:
-        nonlocal best_beta, best_witness
-        if weight_sum + suffix[i] <= best_beta:
+    def search(i: int, size_sum, value, chosen: list[int]) -> None:
+        nonlocal best_value, best_witness
+        if value + suffix[i] <= best_value:
             return
         if i == n:
-            if weight_sum > best_beta:
-                best_beta = weight_sum
+            if value > best_value:
+                best_value = value
                 best_witness = tuple(chosen)
             return
-        finite = not (isinstance(nums[i], float) and math.isinf(nums[i]))
-        if finite and 2 * (loss_sum + nums[i]) < den:
+        if fits(size_sum + sizes[i]):
             chosen.append(i)
-            search(i + 1, loss_sum + nums[i], weight_sum + wabs[i], chosen)
+            search(i + 1, size_sum + sizes[i], value + profits[i], chosen)
             chosen.pop()
-        search(i + 1, loss_sum, weight_sum, chosen)
+        search(i + 1, size_sum, value, chosen)
 
-    search(0, wabs[0] * 0, wabs[0] * 0, [])
-    return PrivacyIndexResult(best_beta, best_witness, "exact")
+    search(0, zero, zero, [])
+    return best_value, best_witness
+
+
+def privacy_index_exact(estimator: Dclef | Lef) -> PrivacyIndexResult:
+    """Exact privacy index by exhaustive subset search (strict sum < 1/2), n <= 25.
+
+    The losses' numerators are the sizes and ``2 * sum < denominator`` the
+    feasibility test, so an unbounded loss never fits. Ties resolve to the
+    lexicographically smallest witness.
+    """
+    wabs = estimator.instance.abs_weights
+    if len(wabs) > EXACT_INDEX_LIMIT:
+        raise InstanceTooLarge(f"exhaustive privacy index limited to n <= {EXACT_INDEX_LIMIT}")
+    nums, den = _loss_terms(estimator)
+    beta, witness = _heaviest_fitting(wabs, nums, lambda size: 2 * size < den)
+    return PrivacyIndexResult(beta, witness, "exact")
 
 
 def privacy_index_greedy(estimator: Dclef | Lef) -> PrivacyIndexResult:
@@ -354,100 +368,42 @@ def privacy_index_greedy(estimator: Dclef | Lef) -> PrivacyIndexResult:
     return PrivacyIndexResult(wabs[heavy], (heavy,), "greedy")
 
 
-# --- subset-sum machinery for the low-distortion construction --------------
-
-def _best_subset_within_exact(wabs: Sequence, cap) -> tuple[int, ...]:
-    """Max-total-weight subset with total <= cap; lexicographically smallest on ties."""
-    n = len(wabs)
-    suffix = [wabs[0] * 0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + wabs[i]
-
-    best_sum = None
-    best_set: tuple[int, ...] = ()
-
-    def search(i: int, cur, chosen: list[int]) -> None:
-        nonlocal best_sum, best_set
-        reach = cur + suffix[i]
-        if reach <= cap:
-            # taking everything left is both maximal and the lexicographically
-            # smallest completion of this branch
-            if best_sum is None or reach > best_sum:
-                best_sum = reach
-                best_set = tuple(chosen) + tuple(range(i, n))
-            return
-        if best_sum is not None and reach <= best_sum:
-            return
-        if i == n:
-            if best_sum is None or cur > best_sum:
-                best_sum = cur
-                best_set = tuple(chosen)
-            return
-        if cur + wabs[i] <= cap:
-            chosen.append(i)
-            search(i + 1, cur + wabs[i], chosen)
-            chosen.pop()
-        search(i + 1, cur, chosen)
-
-    search(0, wabs[0] * 0, [])
-    return best_set
-
-
-def _best_subset_within_dp(wabs: Sequence[float], cap: float, total: float) -> tuple[int, ...]:
-    """Discretized subset sum for large n (resolution total * 1e-6).
-
-    Item weights round up and the capacity rounds down, so the returned subset
-    is always feasible for the true capacity, at the cost of resolution-scale
-    conservatism. Reconstruction prefers excluding items, deterministically.
-    """
-    resolution = total * 1e-6
-    quantized = [max(1, math.ceil(w / resolution)) for w in wabs]
-    cap_q = math.floor(cap / resolution)
-    if cap_q <= 0:
-        return ()
-    mask = (1 << (cap_q + 1)) - 1
-
-    block = 64
-    checkpoints = [1]  # reachable-sum bitset before each block
-    bits = 1
-    for start in range(0, len(quantized), block):
-        for q in quantized[start : start + block]:
-            bits = (bits | (bits << q)) & mask
-        checkpoints.append(bits)
-
-    target = bits.bit_length() - 1
-    chosen: list[int] = []
-    n_blocks = (len(quantized) + block - 1) // block
-    for b in range(n_blocks - 1, -1, -1):
-        start = b * block
-        states = [checkpoints[b]]
-        for q in quantized[start : start + block]:
-            states.append((states[-1] | (states[-1] << q)) & mask)
-        for j in range(len(states) - 2, -1, -1):
-            item = start + j
-            if (states[j] >> target) & 1:
-                continue  # reachable without this item
-            chosen.append(item)
-            target -= quantized[item]
-    chosen.reverse()
-    return tuple(chosen)
-
-
 def _best_subset_within(wabs: Sequence, cap) -> tuple[int, ...]:
+    """Heavy index subset whose total weight stays at or below ``cap``.
+
+    Up to ``EXACT_INDEX_LIMIT`` items the exact search gives the heaviest
+    subset, the lexicographically smallest on ties. Beyond it,
+    first-fit-decreasing takes the items by descending weight, ties by index,
+    each one whose addition keeps the running total within ``cap``; up to
+    rounding, its gap to ``cap`` is below the smallest weight it rejects.
+    Either way the total as `Dclef.residual_weight` sums it, in index order,
+    is within ``cap``.
+    """
     if len(wabs) <= EXACT_INDEX_LIMIT:
-        return _best_subset_within_exact(wabs, cap)
-    return _best_subset_within_dp(
-        [float(w) for w in wabs], float(cap), float(sum(wabs))
-    )
+        return _heaviest_fitting(wabs, wabs, lambda size: size <= cap)[1]
+    chosen = []
+    total = wabs[0] * 0
+    for i in sorted(range(len(wabs)), key=wabs.__getitem__, reverse=True):
+        if total + wabs[i] <= cap:
+            total += wabs[i]
+            chosen.append(i)
+    # the running total adds in weight order; only when it ends within rounding
+    # of cap can the index-order sum exceed cap, and each drop widens the gap
+    while sum(map(wabs.__getitem__, sorted(chosen))) > cap:
+        chosen.pop()
+    return tuple(sorted(chosen))
 
 
 def tradeoff_construct(instance: AuctionInstance, alpha: float) -> Dclef:
-    """Estimator that shields a maximal-weight group within an ``alpha`` share.
+    """Estimator that shields a heavy group within an ``alpha`` share.
 
-    Finds the heaviest index subset whose weight stays at or below
-    ``alpha * W``, hides exactly those entries (``x = 0``) and exposes the
-    rest. Its distortion is at most ``(9/4) (alpha W delta)^2`` by
-    construction.
+    Hides (``x = 0``) an index subset whose weight stays at or below
+    ``alpha * W`` and exposes the rest. For n <= 25 the subset is the
+    heaviest one, found by exact search, the lexicographically smallest on
+    ties; beyond, it is the first-fit-decreasing packing, whose gap to
+    ``alpha * W`` is, up to rounding, below the smallest weight it leaves
+    exposed. Its
+    distortion is at most ``(9/4) (alpha W delta)^2`` by construction.
     """
     if not 0 < alpha < 1:
         raise ParameterOutOfRange("alpha must lie strictly between 0 and 1")

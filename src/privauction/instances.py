@@ -238,6 +238,16 @@ class AuctionInstance:
         }
 
 
+def _check_database(entries: tuple, interval: ValueInterval, parsed: bool) -> None:
+    _check_entries(
+        entries,
+        "database entry",
+        lambda d: (d < interval.r_min) | (d > interval.r_max),
+        "database entry at index {} lies outside the interval",
+        parsed,
+    )
+
+
 @dataclass(frozen=True)
 class Database:
     """Private data entries, one per individual, each inside the interval."""
@@ -249,11 +259,9 @@ class Database:
 
     @classmethod
     def from_values(cls, values: Sequence, interval: ValueInterval) -> "Database":
-        for i, d in enumerate(values):
-            _check_finite(d, f"database entry at index {i}")
-            if not interval.contains(d):
-                raise ValidationError(f"database entry at index {i} lies outside the interval")
-        return cls(tuple(values))
+        entries = tuple(values)
+        _check_database(entries, interval, parsed=False)
+        return cls(entries)
 
     @property
     def n(self) -> int:
@@ -362,13 +370,26 @@ def _require(data: dict, key: str) -> Any:
     return data[key]
 
 
+def _as_double(value, what: str) -> float:
+    """``float(value)``, with a JSON integer beyond the double range rejected by name."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{what} is too large for a double") from None
+
+
 def _number_list(raw: Any, field: str) -> tuple:
     if not isinstance(raw, list):
         raise ParseError(f"field {field!r} must be a list of numbers")
     for i, x in enumerate(raw):
         if not _is_number(x):
             raise ParseError(f"field {field!r} has a non-numeric entry at index {i}")
-    return tuple(float(x) for x in raw)
+    try:
+        return tuple(map(float, raw))
+    except OverflowError:
+        for i, x in enumerate(raw):
+            _as_double(x, f"field {field!r} entry at index {i}")
+        raise
 
 
 def parse_instance(data: dict) -> AuctionInstance:
@@ -384,7 +405,8 @@ def parse_instance(data: dict) -> AuctionInstance:
     raw_budget = _require(data, "budget")
     if not _is_number(raw_budget):
         raise ParseError("field 'budget' must be a number")
-    if float(raw_budget) <= 0:
+    budget = _as_double(raw_budget, "field 'budget'")
+    if budget <= 0:
         raise ValidationError("budget must be positive")
     raw_interval = _require(data, "interval")
     if not isinstance(raw_interval, dict):
@@ -393,8 +415,8 @@ def parse_instance(data: dict) -> AuctionInstance:
     hi = _require(raw_interval, "max")
     if not (_is_number(lo) and _is_number(hi)):
         raise ParseError("interval bounds must be numbers")
-    interval = ValueInterval(float(lo), float(hi))
-    instance = AuctionInstance._trusted(weights, unit_costs, float(raw_budget), interval)
+    interval = ValueInterval(_as_double(lo, "interval minimum"), _as_double(hi, "interval maximum"))
+    instance = AuctionInstance._trusted(weights, unit_costs, budget, interval)
     instance._validate(parsed=True)  # each entry was type-checked once, above
     return instance
 
@@ -409,7 +431,8 @@ def parse_database(data: dict, instance: AuctionInstance) -> Database | None:
         raise ValidationError(
             f"database length {len(entries)} does not match instance size {instance.n}"
         )
-    return Database.from_values(entries, instance.interval)
+    _check_database(entries, instance.interval, parsed=True)  # entries typed once, above
+    return Database(entries)
 
 
 def _load_json(source) -> dict:
@@ -425,6 +448,8 @@ def _load_json(source) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal beyond the int-string digit limit
+        raise ParseError(f"invalid JSON: {exc}") from exc
 
 
 def load_instance(source) -> AuctionInstance:

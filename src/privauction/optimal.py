@@ -320,6 +320,7 @@ def opt_bounds_check(
     n = instance.n
     wabs = instance.abs_weights
 
+    k = outcome.k
     degenerate = all(v == 0 for v in instance.unit_costs)
     if degenerate:
         fractional_objective = float(instance.total_weight)
@@ -342,12 +343,10 @@ def opt_bounds_check(
         budget_identity_ok = abs(float(spent) - float(reserved)) <= 1e-9 * max(
             1.0, abs(float(spent)), abs(float(reserved))
         )
-        k = outcome.k
         tail_mass = float(
             sum(wabs[i] * fractional.x_star[i] for i in range(k, min(ell + 1, n)))
         )
 
-    k = outcome.k
     opt = float(oracle.objective)
     mech = float(outcome.objective)
     ratio = opt / mech if mech > 0 else math.inf

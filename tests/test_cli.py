@@ -74,6 +74,33 @@ class TestRun:
         assert result.exit_code == 1
         assert json.loads(result.stderr)["error"] == "ValidationError"
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("weights", [1, 10**400]),
+            ("unit_costs", [10**400, 1]),
+            ("database", [0.5, -(10**400)]),
+            ("budget", 10**400),
+            ("interval", {"min": 0, "max": 10**400}),
+        ],
+    )
+    def test_integer_beyond_double_range_exit_1(self, runner, instance_file, field, value):
+        data = {
+            "weights": [1, 1],
+            "unit_costs": [1, 1],
+            "budget": 1,
+            "interval": {"min": 0, "max": 1},
+            "database": [0.5, 0.5],
+        }
+        data[field] = value
+        result = runner.invoke(main, ["run", str(instance_file(data, "huge.json"))])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        err = json.loads(result.stderr)
+        assert set(err) == {"error", "message"}
+        assert err["error"] == "ValidationError"
+        assert "too large for a double" in err["message"]
+
     def test_empty_after_filter_exit_2(self, runner, instance_file):
         path = instance_file(
             {"weights": [1, 1], "unit_costs": [50, 50], "budget": 1, "interval": {"min": 0, "max": 1}},

@@ -22,9 +22,34 @@ from privauction import (
     privacy_index_greedy,
     tradeoff_construct,
 )
-from privauction.estimator import laplace_inverse_cdf
+from privauction.estimator import _best_subset_within, laplace_inverse_cdf
 
 from conftest import UNIT, make_instance
+
+
+def enumerate_heaviest(weights, feasible):
+    """Plain enumeration: largest total weight, then lexicographically smallest witness."""
+    subsets = [
+        subset
+        for size in range(len(weights) + 1)
+        for subset in itertools.combinations(range(len(weights)), size)
+        if feasible(subset)
+    ]
+    best = max(sum(weights[i] for i in subset) for subset in subsets)
+    return best, min(s for s in subsets if sum(weights[i] for i in s) == best)
+
+
+@st.composite
+def exact_instances(draw, n_max=10):
+    """Fraction weights, or integer-valued doubles, on which every sum is exact."""
+    n = draw(st.integers(1, n_max))
+    numerators = draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
+    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        denominator = draw(st.sampled_from([1, 2, 3, 7]))
+        weights = [Fraction(s * m, denominator) for s, m in zip(signs, numerators)]
+        return make_instance(weights, [1] * n, 1).to_rational()
+    return make_instance([s * m for s, m in zip(signs, numerators)], [1] * n, 1)
 
 
 def corner_databases(interval, n):
@@ -334,6 +359,55 @@ class TestPrivacyIndexExact:
             assert privacy_index_exact(d).beta == pytest.approx(expect, rel=1e-12)
 
 
+class TestSharedSearch:
+    """The one exact search against plain enumeration, on exact arithmetic."""
+
+    @given(inst=exact_instances(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_privacy_index_dclef(self, inst, data):
+        x = data.draw(st.lists(st.integers(0, 1), min_size=inst.n, max_size=inst.n))
+        wabs = [Fraction(w) for w in inst.abs_weights]
+        resid = sum(w for w, xi in zip(wabs, x) if not xi)
+
+        def feasible(subset):
+            if resid == 0:  # every loss is unbounded
+                return not subset
+            return sum(wabs[i] * x[i] / resid for i in subset) < Fraction(1, 2)
+
+        res = privacy_index_exact(Dclef(inst, x))
+        assert (res.beta, res.witness) == enumerate_heaviest(wabs, feasible)
+
+    @given(inst=exact_instances(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_privacy_index_lef(self, inst, data):
+        rational = isinstance(inst.weights[0], Fraction)
+        shares = (0, Fraction(1, 3), Fraction(1, 2), 1) if rational else (0.0, 0.25, 0.5, 1.0)
+        scales = (0, Fraction(1, 2), 1, 3) if rational else (0.0, 1.0, 2.0, 8.0)
+        x = data.draw(st.lists(st.sampled_from(shares), min_size=inst.n, max_size=inst.n))
+        sigma = data.draw(st.sampled_from(scales))
+        wabs = [Fraction(w) for w in inst.abs_weights]
+
+        def feasible(subset):
+            if sigma == 0:
+                return not any(x[i] for i in subset)
+            return sum(wabs[i] * Fraction(x[i]) / Fraction(sigma) for i in subset) < Fraction(1, 2)
+
+        res = privacy_index_exact(Lef(inst, tuple(x), sigma))
+        assert (res.beta, res.witness) == enumerate_heaviest(wabs, feasible)
+
+    @given(inst=exact_instances(), share=st.fractions(0, 1), alpha=st.floats(0.01, 0.99))
+    @settings(max_examples=150, deadline=None)
+    def test_within_cap(self, inst, share, alpha):
+        wabs = [Fraction(w) for w in inst.abs_weights]
+        alpha_cap = alpha * inst.total_weight
+        for cap in (share * sum(wabs), alpha_cap):
+            shielded = _best_subset_within(inst.abs_weights, cap)
+            expect = enumerate_heaviest(wabs, lambda s: sum(wabs[i] for i in s) <= cap)
+            assert (sum(wabs[i] for i in shielded), shielded) == expect
+        hidden = tuple(i for i, xi in enumerate(tradeoff_construct(inst, alpha).x) if not xi)
+        assert hidden == _best_subset_within(inst.abs_weights, alpha_cap)
+
+
 class TestPrivacyIndexGreedy:
     def test_all_zero_losses(self):
         inst = make_instance([1, 2, 3], [1, 1, 1], 1, UNIT)
@@ -428,6 +502,60 @@ class TestTradeoffConstruct:
             if greedy + w <= cap:
                 greedy += w
         assert d.residual_weight >= greedy - inst.total_weight * 1e-4
+
+    def test_shielded_weight_within_cap_as_summed(self):
+        # summed right to left the first six rows fit under the cap; the
+        # residual weight sums left to right, and six rows exceed it
+        inst = make_instance([0.3] * 7, [1] * 7, 1)
+        alpha = 0.857142857142857
+        d = tradeoff_construct(inst, alpha)
+        assert d.residual_weight <= alpha * inst.total_weight
+        assert tuple(i for i in range(7) if not d.x[i]) == (0, 1, 2, 3, 4)
+
+    def test_first_fit_decreasing_feasible_as_summed(self):
+        # in weight order 0.3 + 0.2 + 0.1 is 0.6; in index order it exceeds 0.6
+        inst = make_instance([0.1, 0.2, 0.3] + [10.0] * 24, [1] * 27, 1)
+        shielded = _best_subset_within(inst.abs_weights, 0.6)
+        assert shielded == (1, 2)
+        assert Dclef.from_selected(inst, range(3, 27)).residual_weight == 0.1 + 0.2 + 0.3 > 0.6
+
+    @given(
+        n=st.integers(26, 200),
+        kind=st.sampled_from(["lognormal", "integer", "equal"]),
+        seed=st.integers(0, 2**32 - 1),
+        member_share=st.sampled_from([None, 0.1, 0.5, 0.9, 1.0]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_first_fit_decreasing_beyond_exact_bound(self, n, kind, seed, member_share):
+        rng = np.random.default_rng(seed)
+        if kind == "lognormal":
+            weights = rng.lognormal(0, 1, n)
+        elif kind == "integer":
+            weights = rng.integers(1, 50, n)
+        else:
+            weights = [float(rng.choice([0.1, 0.3, 1.0]))] * n
+        inst = make_instance(weights, [1] * n, 1, UNIT)
+        wabs = inst.abs_weights
+        if member_share is None:
+            cap = float(rng.uniform(0.02, 0.98)) * inst.total_weight
+        else:  # near-tight: the cap is the left-to-right sum of a random subset
+            cap = sum(w for w in wabs if rng.random() < member_share)
+        shielded = _best_subset_within(wabs, cap)
+        d = Dclef.from_selected(inst, set(range(n)) - set(shielded))
+        assert d.residual_weight <= cap
+        greedy, total = [], 0.0
+        for i in sorted(range(n), key=lambda i: (-wabs[i], i)):
+            if total + wabs[i] <= cap:
+                total += wabs[i]
+                greedy.append(i)
+        assert shielded == tuple(sorted(greedy))
+        rejected = [wabs[i] for i in range(n) if d.x[i]]
+        if rejected:
+            # integer sums are exact and equal weights add in the same order
+            # both ways; lognormal sums in two orders differ by under 2n 2^-52 W
+            slack = 2 * n * 2.0**-52 * inst.total_weight if kind == "lognormal" else 0
+            gap = Fraction(cap) - Fraction(d.residual_weight)
+            assert gap < Fraction(min(rejected)) + Fraction(slack)
 
 
 class TestCheckTradeoffBound:

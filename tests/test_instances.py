@@ -376,6 +376,67 @@ class TestJsonIO:
         assert type(caught.value) is error
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ({"weights": [1, 10**400]}, "field 'weights' entry at index 1 is too large for a double"),
+            ({"unit_costs": [-(10**400), 1]},
+             "field 'unit_costs' entry at index 0 is too large for a double"),
+            ({"budget": 10**400}, "field 'budget' is too large for a double"),
+            ({"interval": {"min": -(10**400), "max": 1}}, "interval minimum is too large for a double"),
+            ({"interval": {"min": 0, "max": 10**400}}, "interval maximum is too large for a double"),
+        ],
+    )
+    def test_integer_beyond_double_range(self, document, message):
+        data = {"weights": [1, 1], "unit_costs": [1, 1], "budget": 1, "interval": {"min": 0, "max": 1}}
+        data.update(document)
+        with pytest.raises(ValidationError) as caught:
+            load_instance(io.StringIO(json.dumps(data)))
+        assert str(caught.value) == message
+
+    def test_integer_beyond_digit_limit(self):
+        text = '{"weights": [1' + "0" * 5000 + "]}"
+        with pytest.raises(ParseError, match="integer string conversion"):
+            load_instance(io.StringIO(text))
+
+    @pytest.mark.parametrize(
+        "database, n, error, message",
+        [
+            ([0.5, "x"], 2, ParseError, "field 'database' has a non-numeric entry at index 1"),
+            ([0.5, 10**400], 2, ValidationError,
+             "field 'database' entry at index 1 is too large for a double"),
+            ([0.5, math.nan], 2, ValidationError, "database entry at index 1 is not finite: nan"),
+            ([math.inf, 0.5], 2, ValidationError, "database entry at index 0 is not finite: inf"),
+            ([0.5, 1.5], 2, ValidationError, "database entry at index 1 lies outside the interval"),
+            ([0.5, -0.5, math.nan], 3, ValidationError,
+             "database entry at index 1 lies outside the interval"),
+            ([0.5], 2, ValidationError, "database length 1 does not match instance size 2"),
+        ],
+    )
+    def test_malformed_database_messages(self, database, n, error, message):
+        from privauction.instances import parse_database
+
+        inst = make_instance([1] * n, [1] * n, 1)
+        with pytest.raises(error) as caught:
+            parse_database(json.loads(json.dumps({"database": database})), inst)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ([0.5, "x"], "database entry at index 1 is not a number: 'x'"),
+            ([0.5, True], "database entry at index 1 is not a number: True"),
+            ([0.5, math.nan], "database entry at index 1 is not finite: nan"),
+            ([Fraction(1, 2), 2], "database entry at index 1 lies outside the interval"),
+            ([-1e-300, math.nan], "database entry at index 0 lies outside the interval"),
+        ],
+    )
+    def test_database_from_values_messages(self, values, message):
+        with pytest.raises(ValidationError) as caught:
+            Database.from_values(values, UNIT)
+        assert str(caught.value) == message
+
     def test_database_block(self, instance_file):
         from privauction.instances import load_database
 
