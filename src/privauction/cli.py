@@ -167,19 +167,16 @@ def cmd_run(instance_path, compare_opt, use_database, seed, output, arithmetic):
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
 @click.option("--instances", type=int, default=None, help="Override the instance count.")
 @click.option("--arithmetic", type=click.Choice(["float", "rational"]), default=None, help="Override the config arithmetic mode.")
-@click.option("--threads", type=int, default=None, help="Worker cap (default PRIVAUCTION_THREADS).")
+@click.option("--threads", type=int, default=1, show_default=True, help="Worker processes, capped at the CPU count.")
 @click.option("--skip-approximation", is_flag=True, help="Run only the truthfulness sweep.")
 @click.option("--output", type=click.Choice(["json", "csv"]), default="json", show_default=True)
 def cmd_verify(config_path, mutate, seed, instances, arithmetic, threads, skip_approximation, output):
     """Run property sweeps; exit 0 only when every property holds everywhere."""
     try:
         data = _load_json(config_path) if config_path else {}
-        if seed is not None:
-            data["rng_seed"] = seed
-        if instances is not None:
-            data["instance_count"] = instances
-        if arithmetic is not None:
-            data["arithmetic_mode"] = arithmetic
+        overrides = {"rng_seed": seed, "instance_count": instances, "arithmetic_mode": arithmetic}
+        if isinstance(data, dict):  # anything else is rejected by from_json
+            data.update((key, value) for key, value in overrides.items() if value is not None)
         config = SweepConfig.from_json(data)
         truthfulness = run_truthfulness_sweep(config, mutation=mutate, threads=threads)
         reports = {"truthfulness": truthfulness.to_json()}

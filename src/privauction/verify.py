@@ -17,13 +17,18 @@ passes against the final survivor total ``W'``, that is
 ``W' - |w_i| > 0`` and ``|w_i| * z <= B * (W' - |w_i|)``. Each report then
 costs one bisect into the others' canonical order and one O(n) pass, bit for
 bit equal to the pipeline (`_deviation_utility`, kept as the reference).
+
+Float and rational mode run the same checks. Rational mode takes exact
+factors and straddles in the misreport grid and a slack of exactly 0 in
+every comparison; float mode allows ``REL_TOL * max(1, |x|)`` on the budget
+and IR checks and ``TRUTHFUL_SLACK`` on a deviation's gain.
 """
 
 import math
 import os
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
 from functools import partial
 
@@ -52,7 +57,6 @@ __all__ = [
     "deviator_kernel",
     "run_truthfulness_sweep",
     "run_approximation_sweep",
-    "default_threads",
     "MUTATIONS",
     "parse_mutation",
     "mechanism_under",
@@ -64,15 +68,6 @@ MAX_WITNESSES = 50
 
 WEIGHT_DISTRIBUTIONS = ("uniform", "lognormal", "signed", "integer-grid")
 COST_DISTRIBUTIONS = ("uniform", "lognormal", "integer-grid")
-
-
-def default_threads() -> int:
-    """Worker cap from PRIVAUCTION_THREADS; defaults to serial."""
-    raw = os.environ.get("PRIVAUCTION_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -94,6 +89,8 @@ class SweepConfig:
             raise ValidationError("n_range must satisfy 2 <= lo <= hi")
         if self.instance_count < 1:
             raise ValidationError("instance_count must be at least 1")
+        if self.rng_seed < 0:
+            raise ValidationError("rng_seed must be nonnegative")
         if self.weight_distribution not in WEIGHT_DISTRIBUTIONS:
             raise ValidationError(f"unknown weight distribution {self.weight_distribution!r}")
         if self.cost_distribution not in COST_DISTRIBUTIONS:
@@ -108,36 +105,31 @@ class SweepConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "SweepConfig":
+        """Config from parsed JSON; every field is optional and type-checked."""
         if not isinstance(data, dict):
             raise ValidationError("sweep config must be a JSON object")
-        kwargs = {}
-        fields = {
-            "n_range": tuple,
-            "instance_count": int,
-            "weight_distribution": str,
-            "cost_distribution": str,
-            "budget_rule": str,
-            "rng_seed": int,
-            "arithmetic_mode": str,
-        }
-        for key, caster in fields.items():
-            if key in data:
-                kwargs[key] = caster(data[key])
-        unknown = set(data) - set(fields)
+        types = {f.name: f.type for f in fields(cls)}
+        unknown = set(data) - set(types)
         if unknown:
             raise ValidationError(f"unknown sweep config fields: {sorted(unknown)}")
-        return cls(**kwargs)
+        for key, value in data.items():
+            if types[key] is str:
+                ok, kind = isinstance(value, str), "a string"
+            elif types[key] is int:
+                ok, kind = _is_json_int(value), "an integer"
+            else:
+                ok = isinstance(value, list) and len(value) == 2 and all(map(_is_json_int, value))
+                kind = "a list of two integers"
+            if not ok:
+                raise ValidationError(f"sweep config field {key!r} must be {kind}")
+        return cls(**data)
 
     def to_json(self) -> dict:
-        return {
-            "n_range": list(self.n_range),
-            "instance_count": self.instance_count,
-            "weight_distribution": self.weight_distribution,
-            "cost_distribution": self.cost_distribution,
-            "budget_rule": self.budget_rule,
-            "rng_seed": self.rng_seed,
-            "arithmetic_mode": self.arithmetic_mode,
-        }
+        return {**asdict(self), "n_range": list(self.n_range)}
+
+
+def _is_json_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _parse_budget_rule(rule: str) -> tuple[str, tuple[float, ...]]:
@@ -255,39 +247,23 @@ def misreport_grid(costs, i: int, rational: bool = False) -> tuple:
     A multiplicative grid of at least 21 points around the true cost, plus,
     for every other reported cost, the cost itself and values just below and
     above it, so every sort position reachable by a unilateral deviation is
-    exercised.
+    exercised. A zero true cost gets a grid up to ten times the largest cost
+    instead: 21 even steps from 0 in float mode, 0 and the rational factors
+    in rational mode.
     """
+    factors, eps = (_RATIONAL_FACTORS, Fraction(1, 10**6)) if rational else (_FLOAT_FACTORS, 1e-6)
     true_cost = costs[i]
-    points = set()
-    if rational:
-        eps = Fraction(1, 10**6)
-        if true_cost > 0:
-            for f in _RATIONAL_FACTORS:
-                points.add(true_cost * f)
-        else:
-            top = max(costs) if max(costs) > 0 else Fraction(1)
-            for f in _RATIONAL_FACTORS:
-                points.add(top * f)
-            points.add(Fraction(0))
-        for j, c in enumerate(costs):
-            if j == i:
-                continue
-            points.add(c)
-            points.add(c * (1 - eps))
-            points.add(c * (1 + eps))
+    if true_cost > 0:
+        points = {true_cost * f for f in factors}
     else:
-        if true_cost > 0:
-            for f in _FLOAT_FACTORS:
-                points.add(true_cost * f)
+        top = max(costs) or 1
+        if rational:
+            points = {top * f for f in factors} | {Fraction(0)}
         else:
-            top = max(costs) if max(costs) > 0 else 1.0
-            points.update(float(z) for z in np.linspace(0.0, 10.0 * top, 21))
-        for j, c in enumerate(costs):
-            if j == i:
-                continue
-            points.add(c)
-            points.add(c * (1.0 - 1e-6))
-            points.add(c * (1.0 + 1e-6))
+            points = {float(z) for z in np.linspace(0.0, 10.0 * top, 21)}
+    for j, c in enumerate(costs):
+        if j != i:
+            points.update((c, c * (1 - eps), c * (1 + eps)))
     return tuple(sorted(z for z in points if z >= 0))
 
 
@@ -472,44 +448,30 @@ def _truthfulness_record(config: SweepConfig, index: int, mutation: str | None) 
     rational = config.arithmetic_mode == "rational"
     if rational:
         instance = instance.to_rational()
-    mechanism = mechanism_under(mutation)
-    outcome = mechanism(instance)
-    budget = instance.budget
+    outcome = mechanism_under(mutation)(instance)
     failures = []
 
-    total_paid = sum(outcome.payments)
-    budget_ok = (
-        total_paid <= budget
-        if rational
-        else float(total_paid) <= float(budget) + REL_TOL * max(1.0, float(budget))
-    )
-    if not budget_ok:
-        failures.append(
-            _witness(
-                "budget_feasible", config, index, instance,
-                total_paid=float(total_paid), budget=float(budget),
-            )
-        )
+    def fail(prop: str, **extra) -> None:
+        failures.append(_witness(prop, config, index, instance, **extra))
+
+    def slack(x):
+        # exactly 0 in rational mode, never 0 * x: a loss can be math.inf
+        return 0 if rational else REL_TOL * max(1, abs(x))
+
+    total_paid, budget = sum(outcome.payments), instance.budget
+    if not total_paid <= budget + slack(budget):
+        fail("budget_feasible", total_paid=float(total_paid), budget=float(budget))
 
     eps = outcome.dclef.epsilons()
-    ir_ok = True
-    for i in range(instance.n):
+    for i, pay in enumerate(outcome.payments):
         cost = instance.unit_costs[i] * eps[i]
-        pay = outcome.payments[i]
-        holds = pay >= cost if rational else (
-            float(pay) >= float(cost) - REL_TOL * max(1.0, abs(float(cost)))
-        )
-        if not holds:
-            ir_ok = False
-            failures.append(
-                _witness(
-                    "individually_rational", config, index, instance,
-                    individual=i, payment=float(pay), privacy_cost=float(cost),
-                )
+        if not pay >= cost - slack(cost):
+            fail(
+                "individually_rational",
+                individual=i, payment=float(pay), privacy_cost=float(cost),
             )
 
-    truthful_ok = True
-    slack = 0 if rational else TRUTHFUL_SLACK
+    gain_slack = 0 if rational else TRUTHFUL_SLACK
     for i in range(instance.n):
         true_cost = instance.unit_costs[i]
         honest_utility = outcome.payments[i] - true_cost * eps[i]
@@ -517,25 +479,14 @@ def _truthfulness_record(config: SweepConfig, index: int, mutation: str | None) 
         for z in misreport_grid(instance.unit_costs, i, rational):
             dev_utility = deviate(z, true_cost)
             # a NaN utility fails the check: only a proven "no gain" passes
-            if not dev_utility <= honest_utility + slack:
-                truthful_ok = False
-                failures.append(
-                    _witness(
-                        "truthful", config, index, instance,
-                        individual=i, misreport=float(z),
-                        honest_utility=float(honest_utility),
-                        deviating_utility=float(dev_utility),
-                    )
+            if not dev_utility <= honest_utility + gain_slack:
+                fail(
+                    "truthful", individual=i, misreport=float(z),
+                    honest_utility=float(honest_utility), deviating_utility=float(dev_utility),
                 )
-    return {
-        "index": index,
-        "checks": {
-            "budget_feasible": budget_ok,
-            "individually_rational": ir_ok,
-            "truthful": truthful_ok,
-        },
-        "failures": failures,
-    }
+    failed = {witness["property"] for witness in failures}
+    props = ("budget_feasible", "individually_rational", "truthful")
+    return {"index": index, "checks": {p: p not in failed for p in props}, "failures": failures}
 
 
 def _approximation_record(config: SweepConfig, index: int) -> dict:
@@ -629,18 +580,28 @@ class VerificationReport:
         ]
 
 
-def _collect(worker, config: SweepConfig, threads: int | None) -> list[dict]:
-    threads = default_threads() if threads is None else max(1, threads)
+def _sweep(name: str, worker, config: SweepConfig, threads: int) -> VerificationReport:
+    """Run ``worker`` on every index and aggregate, in index order at any worker count.
+
+    The worker count is capped at the CPU count and the instance count, so a
+    large ``threads`` never starts more processes than can run at once.
+    """
+    report = VerificationReport(name, config)
     indices = range(config.instance_count)
-    if threads <= 1:
-        return [worker(index) for index in indices]
-    chunk = max(1, config.instance_count // (threads * 8))
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, indices, chunksize=chunk))
+    workers = min(threads, os.cpu_count() or 1, config.instance_count)
+    if workers <= 1:
+        records = map(worker, indices)
+    else:
+        chunk = max(1, config.instance_count // (workers * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            records = list(pool.map(worker, indices, chunksize=chunk))
+    for record in records:
+        report._absorb(record)
+    return report
 
 
 def run_truthfulness_sweep(
-    config: SweepConfig, mutation: str | None = None, threads: int | None = None
+    config: SweepConfig, mutation: str | None = None, threads: int = 1
 ) -> VerificationReport:
     """Budget, individual-rationality, and misreport-grid checks over the stream.
 
@@ -649,21 +610,14 @@ def run_truthfulness_sweep(
     comparisons are exact.
     """
     parse_mutation(mutation)  # reject a bad spec before any worker starts
-    report = VerificationReport("truthfulness", config)
     worker = partial(_truthfulness_record, config, mutation=mutation)
-    for record in _collect(worker, config, threads):
-        report._absorb(record)
-    return report
+    return _sweep("truthfulness", worker, config, threads)
 
 
-def run_approximation_sweep(config: SweepConfig, threads: int | None = None) -> VerificationReport:
+def run_approximation_sweep(config: SweepConfig, threads: int = 1) -> VerificationReport:
     """Oracle-vs-mechanism ratio plus relaxation consistency over the stream."""
     if config.n_range[1] > ORACLE_LIMIT:
         raise ValidationError(
             f"approximation sweep needs n_range within the oracle bound {ORACLE_LIMIT}"
         )
-    report = VerificationReport("approximation", config)
-    worker = partial(_approximation_record, config)
-    for record in _collect(worker, config, threads):
-        report._absorb(record)
-    return report
+    return _sweep("approximation", partial(_approximation_record, config), config, threads)

@@ -195,6 +195,40 @@ class TestVerify:
         result = runner.invoke(main, ["verify", str(cfg)])
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"n_range": "ab"},
+            {"n_range": [3]},
+            {"n_range": [2, 5.0]},
+            {"instance_count": "x"},
+            {"instance_count": None},
+            {"instance_count": True},
+            {"rng_seed": 1.5},
+            {"rng_seed": -1},
+            {"weight_distribution": 3},
+            {"budget_rule": None},
+            {"arithmetic_mode": ["float"]},
+        ],
+    )
+    def test_malformed_config_names_field(self, runner, tmp_path, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        result = runner.invoke(main, ["verify", str(cfg)])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        error = json.loads(result.stderr)
+        assert error["error"] == "ValidationError"
+        assert next(iter(config)) in error["message"]
+
+    @pytest.mark.parametrize("config", [[1], "signed", 3])
+    def test_non_object_config_with_override_exit_1(self, runner, tmp_path, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        result = runner.invoke(main, ["verify", str(cfg), "--seed", "1", "--instances", "2"])
+        assert result.exit_code == 1
+        assert json.loads(result.stderr)["message"] == "sweep config must be a JSON object"
+
 
 class TestWeights:
     def test_knn_two_of_three(self, runner, tmp_path):

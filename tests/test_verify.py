@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from privauction import (
     fair_inner_product,
     prepare,
 )
+from privauction import verify
 from privauction.verify import (
     MUTATIONS,
     SweepConfig,
@@ -139,13 +142,34 @@ class TestMisreportGrid:
         assert len(grid) >= 21
 
     def test_rational_grid_exact(self):
-        from fractions import Fraction
-
         costs = (Fraction(1), Fraction(2))
         grid = misreport_grid(costs, 0, rational=True)
         assert all(isinstance(z, Fraction) for z in grid)
         assert Fraction(2) in grid
         assert len(grid) >= 21
+
+    @staticmethod
+    def _straddle(*costs):
+        return {v for c in costs for v in (c, c * (1 - 1e-6), c * (1 + 1e-6))}
+
+    def test_float_grid_pinned(self):
+        factors = [10.0 ** t for t in np.linspace(-1.0, 1.0, 21)]
+        expected = sorted({0.5 * f for f in factors} | self._straddle(2.0, 0.0))
+        assert misreport_grid((0.5, 2.0, 0.0), 0) == tuple(expected)
+        # a zero cost steps evenly up to ten times the largest cost
+        expected = sorted({float(z) for z in np.linspace(0.0, 4.0, 21)} | self._straddle(0.4))
+        assert misreport_grid((0.0, 0.4), 0) == tuple(expected)
+
+    def test_rational_grid_pinned(self):
+        factors = "1/10 1/5 3/10 2/5 1/2 3/5 7/10 4/5 9/10 1 5/4 3/2 7/4 2 5/2 3 4 5 6 8 10"
+        doubled = [2 * Fraction(f) for f in factors.split()]
+        others = [Fraction(999_999, 10**6), Fraction(1), Fraction(1_000_001, 10**6)]
+        grid = misreport_grid((Fraction(2), Fraction(1)), 0, rational=True)
+        assert grid == tuple(sorted(set(doubled + others)))
+        # all costs zero: the factors themselves, plus 0
+        grid = misreport_grid((Fraction(0), Fraction(0)), 1, rational=True)
+        assert grid == (0, *(Fraction(f) for f in factors.split()))
+        assert all(type(z) is Fraction for z in grid)
 
 
 class TestTruthfulnessSweep:
@@ -374,6 +398,35 @@ class TestApproximationSweep:
         serial = run_truthfulness_sweep(cfg, threads=1)
         parallel = run_truthfulness_sweep(cfg, threads=2)
         assert serial.to_json() == parallel.to_json()
+
+    @pytest.mark.parametrize(
+        "threads, cpus, expected",
+        [(1000, 2, [2]), (1000, 64, [5]), (3, 64, [3]), (1000, None, []), (1, 64, [])],
+    )
+    def test_worker_count_capped(self, monkeypatch, threads, cpus, expected):
+        created = []
+
+        class SerialPool:
+            """Records the worker count it is asked for and maps in process."""
+
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        cfg = SweepConfig(n_range=(2, 5), instance_count=5, rng_seed=59)
+        serial = run_truthfulness_sweep(cfg).to_json()
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+        assert run_truthfulness_sweep(cfg, threads=threads).to_json() == serial
+        assert created == expected
 
 
 class TestReportShape:
