@@ -7,16 +7,24 @@ that individual outweighs the rest of the prefix. The rule functions
 `prefix_length`, `star_wins` and `topk_rate` make those three decisions on
 plain values; `decide` applies any three rules to plain canonical
 sequences, `run_rules` builds an outcome from its decisions, and
-`fair_inner_product` runs the honest rules. Threshold comparisons are
-evaluated in cross-multiplied form, with no divisions, so runs on
-small-integer data are exact in double precision and agree bit-for-bit with
-the rational-arithmetic mode. Outcomes are indexed by canonical position;
+`fair_inner_product` runs the honest rules.
+
+The rules compare; their callers divide. Every threshold comparison is
+cross-multiplied, so runs on small-integer data are exact in double
+precision and agree bit-for-bit with the rational-arithmetic mode, and
+`topk_rate` and `decide` return their rate and single-winner payment as
+``(numerator, denominator)`` pairs that `run_rules` divides once. Each
+comparison is homogeneous: money (budget, costs) and weight appear in equal
+degree on both sides, so scaling all money by one positive factor and all
+weights by another changes no decision. That lets `verify.deviator_kernel`
+run `decide` on exact integers. Outcomes are indexed by canonical position;
 ``MechanismOutcome.to_json`` reports them by input row through the row map
 of `instances.prepare`.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Sequence
 
 from .errors import EmptyInstance, NonUniformWeights, NotCanonical, ValidationError
@@ -99,11 +107,15 @@ def star_wins(w_star, rest) -> bool:
 
 
 def topk_rate(budget, total, costs: Sequence, prefix: Sequence, k: int):
-    """Rate rule: ``B / w([k])``, capped by the successor's ``v_{k+1} / (W - w([k]))``."""
+    """Rate rule: ``B / w([k])``, capped by the successor's ``v_{k+1} / (W - w([k]))``.
+
+    Returns the chosen rate undivided, as the pair ``(B, w([k]))`` or
+    ``(v_{k+1}, W - w([k]))``.
+    """
     cw, residual = prefix[k], total - prefix[k]
     if k == len(costs) or budget * residual <= costs[k] * cw:
-        return budget / cw
-    return costs[k] / residual
+        return budget, cw
+    return costs[k], residual
 
 
 def decide(wabs: Sequence, costs: Sequence, ids: Sequence[int], budget, total, rules):
@@ -115,13 +127,15 @@ def decide(wabs: Sequence, costs: Sequence, ids: Sequence[int], budget, total, r
     triple called like `prefix_length`, `star_wins` and `topk_rate`.
     Returns ``(k, i_star, r, p_hat, rate)``: the single-winner branch fired
     when ``rate`` is None, and ``r`` and ``p_hat`` are None otherwise.
+    Nothing is divided: ``rate`` is the rate rule's ``(numerator,
+    denominator)`` pair, and ``p_hat`` is the pair ``(w* * v_r, W - w*)``, or
+    the budget itself when ``r`` is None. The decisions only compare, so they
+    read the same on float, `Fraction` and integer input.
     """
     prefix_rule, star_rule, rate_rule = rules
     n = len(wabs)
     zero = wabs[0] * 0
-    prefix = [zero] * (n + 1)  # prefix[t] = w([t])
-    for t in range(1, n + 1):
-        prefix[t] = prefix[t - 1] + wabs[t - 1]
+    prefix = list(accumulate(wabs, initial=zero))  # prefix[t] = w([t])
 
     k = prefix_rule(budget, total, costs, prefix)
     if k == 0:
@@ -145,7 +159,7 @@ def decide(wabs: Sequence, costs: Sequence, ids: Sequence[int], budget, total, r
         if others >= w_star and budget * (total - others) >= costs[t - 1] * others:
             r = t - 1
             break
-    p_hat = budget if r is None else w_star * costs[r] / (total - w_star)
+    p_hat = budget if r is None else (w_star * costs[r], total - w_star)
     return k, i_star, r, p_hat, None
 
 
@@ -166,6 +180,7 @@ def run_rules(instance: AuctionInstance, identity, prefix_rule, star_rule, rate_
     """Outcome of the auction whose three decisions are made by the given rules.
 
     The rules are called like `prefix_length`, `star_wins` and `topk_rate`.
+    The rate and the single-winner payment are divided here, once each.
     """
     n = instance.n
     if not instance.is_canonical:
@@ -180,11 +195,14 @@ def run_rules(instance: AuctionInstance, identity, prefix_rule, star_rule, rate_
     )
     payments = [wabs[0] * 0] * n
     if rate is None:
+        if r is not None:
+            p_hat = p_hat[0] / p_hat[1]
         payments[i_star] = p_hat
         selected = (i_star,)
         branch = "star"
     else:
         selected = tuple(range(k))
+        rate = rate[0] / rate[1]
         for i in selected:
             payments[i] = wabs[i] * rate
         branch = "topk"

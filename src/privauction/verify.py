@@ -21,12 +21,16 @@ bit equal to the pipeline (`_deviation_utility`, kept as the reference).
 Float and rational mode run the same checks. Rational mode takes exact
 factors and straddles in the misreport grid and a slack of exactly 0 in
 every comparison; float mode allows ``REL_TOL * max(1, |x|)`` on the budget
-and IR checks and ``TRUTHFUL_SLACK`` on a deviation's gain.
+and IR checks and ``TRUTHFUL_SLACK`` on a deviation's gain. On exact input
+the kernel clears denominators once per deviator, so the mechanism's
+decisions compare Python ints and only the deviator's payment and privacy
+loss are divided back into `Fraction`: the mechanism's rules compare, and
+their callers divide.
 """
 
 import math
 import os
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
@@ -65,6 +69,7 @@ __all__ = [
 TRUTHFUL_SLACK = 1e-9
 REL_TOL = 1e-9
 MAX_WITNESSES = 50
+TRUTHFUL_LIMIT = 100  # largest n a truthfulness sweep takes: its work grows as n^3
 
 WEIGHT_DISTRIBUTIONS = ("uniform", "lognormal", "signed", "integer-grid")
 COST_DISTRIBUTIONS = ("uniform", "lognormal", "integer-grid")
@@ -249,7 +254,8 @@ def misreport_grid(costs, i: int, rational: bool = False) -> tuple:
     above it, so every sort position reachable by a unilateral deviation is
     exercised. A zero true cost gets a grid up to ten times the largest cost
     instead: 21 even steps from 0 in float mode, 0 and the rational factors
-    in rational mode.
+    in rational mode. Exact points (ints and `Fraction`) are sorted by exact
+    integer keys, which order them as their values do.
     """
     factors, eps = (_RATIONAL_FACTORS, Fraction(1, 10**6)) if rational else (_FLOAT_FACTORS, 1e-6)
     true_cost = costs[i]
@@ -261,10 +267,18 @@ def misreport_grid(costs, i: int, rational: bool = False) -> tuple:
             points = {top * f for f in factors} | {Fraction(0)}
         else:
             points = {float(z) for z in np.linspace(0.0, 10.0 * top, 21)}
+    below, above = 1 - eps, 1 + eps
     for j, c in enumerate(costs):
         if j != i:
-            points.update((c, c * (1 - eps), c * (1 + eps)))
-    return tuple(sorted(z for z in points if z >= 0))
+            points.update((c, c * below, c * above))
+    grid = [z for z in points if z >= 0]
+    if rational and all(isinstance(z, (Fraction, int)) for z in grid):
+        # each point's numerator over one common denominator
+        common = math.lcm(*(z.denominator for z in grid))
+        grid.sort(key=lambda z: z.numerator * (common // z.denominator))
+    else:
+        grid.sort()
+    return tuple(grid)
 
 
 # --- fault injection ----------------------------------------------------------
@@ -281,7 +295,7 @@ def _star_nonstrict(w_star, rest) -> bool:
 
 def _uncapped_rate(budget, total, costs, prefix, k: int):
     """Pays the prefix the whole budget, ignoring the successor's threshold."""
-    return budget / prefix[k]
+    return budget, prefix[k]
 
 
 _HONEST_RULES = (prefix_length, star_wins, topk_rate)
@@ -375,6 +389,18 @@ def deviator_kernel(instance: AuctionInstance, i: int, mutation: str | None = No
     `instances.prepare` produces. Sums run in canonical order, as the
     pipeline's do, and `mechanism.decide` makes the decisions, so only
     ``i``'s payment and privacy loss are left to compute.
+
+    Exact integers: every comparison in `mechanism.decide` and its rules is
+    cross-multiplied and homogeneous, of equal degree in money (budget,
+    costs) and in weight, so scaling money by a positive ``M`` and weights
+    by a positive ``E`` leaves every decision unchanged. On an instance whose
+    weights, costs and budget are all `Fraction`, ``E`` is the lcm of the
+    survivors' weight denominators and ``M`` that of the budget's and the
+    other survivors' cost denominators, computed once per deviator; a report
+    ``z = p/q`` (a `Fraction` or an int) further scales money by ``q``. Then
+    `decide` runs on Python ints, and only ``i``'s payment and privacy loss
+    are divided back into `Fraction`, of the same value and type as the
+    pipeline's. Any other input takes the same steps on its own values.
     """
     name, factor = parse_mutation(mutation)
     rules = _MUTANT_RULES.get(name, _HONEST_RULES)
@@ -390,27 +416,65 @@ def deviator_kernel(instance: AuctionInstance, i: int, mutation: str | None = No
     other_wabs = [wabs[j] for _, j in others]
     other_costs = [c for c, _ in others]
     other_rows = [j for _, j in others]
+    own_zero = w_i * 0
+    first_zero = other_wabs[0] * 0 if others else own_zero
+
+    exact = all(type(v) is Fraction for v in (budget, *wabs, *costs))
+    if exact:
+        scale_w = math.lcm(*(wabs[j].denominator for j in alive))
+        scale_m = math.lcm(budget.denominator, *(c.denominator for c in other_costs))
+        int_wabs = _scaled_ints(other_wabs, scale_w)
+        int_costs = _scaled_ints(other_costs, scale_m)
+        [int_w_i] = _scaled_ints([w_i], scale_w)
+        [int_budget] = _scaled_ints([budget], scale_m)
+        int_cap = int_budget * sum(int_wabs)  # B * (W' - |w_i|), scaled by M * E
 
     def utility(z, true_cost):
-        if residual <= 0 or w_i * z > cap:
+        rational = exact and type(z) in (Fraction, int)
+        if rational:
+            # money scaled by M * q and weights by E, as the docstring explains
+            q = z.denominator
+            money = scale_m * q
+            own_w, own_cost, limit = int_w_i, z.numerator * scale_m, int_cap * q
+        else:
+            own_w, own_cost, limit = w_i, z, cap
+        if residual <= 0 or own_w * own_cost > limit:
             return 0
-        pos = bisect_left(others, (z, i))
-        ws, cs, ids = other_wabs.copy(), other_costs.copy(), other_rows.copy()
-        ws.insert(pos, w_i)
-        cs.insert(pos, z)
+        if rational:
+            ws, cs, scaled_budget = int_wabs.copy(), [c * q for c in int_costs], int_budget * q
+        else:
+            ws, cs, scaled_budget = other_wabs.copy(), other_costs.copy(), budget
+        # canonical order: by (cost, input row)
+        lo = bisect_left(cs, own_cost)
+        pos = bisect_left(other_rows, i, lo, bisect_right(cs, own_cost, lo))
+        zero = first_zero if pos else own_zero  # the pipeline's first-position weight * 0
+        ids = other_rows.copy()
+        ws.insert(pos, own_w)
+        cs.insert(pos, own_cost)
         ids.insert(pos, i)
-        k, i_star, r, p_hat, rate = decide(ws, cs, ids, budget, sum(ws), rules)
+        k, i_star, r, p_hat, rate = decide(ws, cs, ids, scaled_budget, sum(ws), rules)
         if checked:
             check_single_winner(k, i_star, r)
-        zero = ws[0] * 0
         if rate is None:
             selected = pos == i_star
-            payment = p_hat if selected else zero
+            if not selected:
+                payment = zero
+            elif r is None:
+                payment = budget
+            elif rational:
+                payment = Fraction(p_hat[0], p_hat[1] * money)
+            else:
+                payment = p_hat[0] / p_hat[1]
             del ws[i_star]
             unselected = ws
         else:
             selected = pos < k
-            payment = w_i * rate if selected else zero
+            if not selected:
+                payment = zero
+            elif rational:
+                payment = Fraction(own_w * rate[0], rate[1] * money)
+            else:
+                payment = w_i * (rate[0] / rate[1])
             unselected = ws[k:]
         if factor is not None:
             payment = payment * factor
@@ -419,11 +483,18 @@ def deviator_kernel(instance: AuctionInstance, i: int, mutation: str | None = No
         x_i = 1 if selected else 0
         if resid == 0:
             eps = math.inf if x_i else 0.0
+        elif rational:
+            eps = Fraction(own_w * x_i, resid)
         else:
             eps = w_i * x_i / resid
         return payment - true_cost * eps
 
     return utility
+
+
+def _scaled_ints(values, scale: int) -> list[int]:
+    """``v * scale`` for each `Fraction` ``v``, as an int: every denominator divides ``scale``."""
+    return [v.numerator * (scale // v.denominator) for v in values]
 
 
 def _finite_or_repr(value):
@@ -475,11 +546,12 @@ def _truthfulness_record(config: SweepConfig, index: int, mutation: str | None) 
     for i in range(instance.n):
         true_cost = instance.unit_costs[i]
         honest_utility = outcome.payments[i] - true_cost * eps[i]
+        bound = honest_utility + gain_slack
         deviate = deviator_kernel(instance, i, mutation)
         for z in misreport_grid(instance.unit_costs, i, rational):
             dev_utility = deviate(z, true_cost)
             # a NaN utility fails the check: only a proven "no gain" passes
-            if not dev_utility <= honest_utility + gain_slack:
+            if not dev_utility <= bound:
                 fail(
                     "truthful", individual=i, misreport=float(z),
                     honest_utility=float(honest_utility), deviating_utility=float(dev_utility),
@@ -607,9 +679,13 @@ def run_truthfulness_sweep(
 
     A correct mechanism yields zero failures; a mutated one (a spec from
     `MUTATIONS`) is expected to produce witnesses. In rational mode all
-    comparisons are exact.
+    comparisons are exact. Each instance takes about n^3 steps (n deviators,
+    about 3n reports each, O(n) per report), so ``n_range`` may not exceed
+    `TRUTHFUL_LIMIT`.
     """
     parse_mutation(mutation)  # reject a bad spec before any worker starts
+    if config.n_range[1] > TRUTHFUL_LIMIT:
+        raise ValidationError(f"truthfulness sweep needs n_range within {TRUTHFUL_LIMIT}")
     worker = partial(_truthfulness_record, config, mutation=mutation)
     return _sweep("truthfulness", worker, config, threads)
 

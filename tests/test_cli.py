@@ -189,6 +189,22 @@ class TestVerify:
         assert lines[0] == "instance_id,ratio,branch"
         assert len(lines) == 7
 
+    def test_oversized_truthfulness_sweep_exit_1(self, runner, tmp_path, monkeypatch):
+        from privauction import verify
+
+        def no_instance(config, index):
+            raise AssertionError("an instance was generated")
+
+        monkeypatch.setattr(verify, "generate_instance", no_instance)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_range": [2, 2000], "instance_count": 1}))
+        result = runner.invoke(main, ["verify", str(cfg)])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        error = json.loads(result.stderr)
+        assert error["error"] == "ValidationError"
+        assert "n_range" in error["message"]
+
     def test_bad_config_exit_1(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"weight_distribution": "cauchy"}))

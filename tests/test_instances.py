@@ -105,6 +105,36 @@ class TestAuctionInstance:
         with pytest.raises(EmptyInstance):
             make_instance([1, 2], [1, 1], 1).subset([])
 
+    @pytest.mark.parametrize(
+        "costs",
+        [
+            (1.0,),
+            (1.0, 2.0, 3.0, 4.0),
+            (1.0, 2.0, -0.5),
+            (1.0, -1, Fraction(-1, 3)),
+            (math.nan, 1.0, 1.0),
+            (1.0, math.inf, 1.0),
+            (1.0, 1.0, "2"),
+            (None, 1.0, 1.0),
+            (True, 1.0, 1.0),
+        ],
+    )
+    def test_with_unit_costs_errors_match_constructor(self, costs):
+        inst = make_instance([1, -2, 3], [1, 1, 1], 1)
+        with pytest.raises(ValidationError) as expected:
+            AuctionInstance(inst.weights, costs, inst.budget, inst.interval)
+        with pytest.raises(ValidationError) as replaced:
+            inst.with_unit_costs(costs)
+        assert type(replaced.value) is type(expected.value)
+        assert str(replaced.value) == str(expected.value)
+
+    @pytest.mark.parametrize("costs", [(0, 2.5, 1), (Fraction(1, 3), 0.0, 7)])
+    def test_with_unit_costs_equals_constructor(self, costs):
+        inst = make_instance([1, -2, 3], [1, 1, 1], 1)
+        replaced = inst.with_unit_costs(list(costs))
+        assert replaced == AuctionInstance(inst.weights, costs, inst.budget, inst.interval)
+        assert replaced.unit_costs == costs and replaced.weights is inst.weights
+
 
 class TestCanonicalize:
     def test_sorts_costs(self):

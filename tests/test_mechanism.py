@@ -22,7 +22,8 @@ from privauction import (
     filter_assumption1,
     ghosh_roth_special_case,
 )
-from privauction.verify import hardness_instance, mechanism_under, parse_mutation
+from privauction.mechanism import decide, prefix_length, star_wins, topk_rate
+from privauction.verify import _MUTANT_RULES, hardness_instance, mechanism_under, parse_mutation
 
 from conftest import UNIT, make_instance
 
@@ -260,6 +261,63 @@ class TestRationalMode:
         eps = out.dclef.epsilons()
         for i in range(inst.n):
             assert out.payments[i] >= inst.unit_costs[i] * eps[i]
+
+
+RULE_SETS = {"honest": (prefix_length, star_wins, topk_rate), **_MUTANT_RULES}
+
+
+class TestDecideHomogeneity:
+    """Money and weight enter every decision in equal degree on both sides."""
+
+    @pytest.mark.parametrize("rules", RULE_SETS.values(), ids=RULE_SETS.keys())
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_scaling_keeps_decisions(self, rules, data):
+        n = data.draw(st.integers(1, 7))
+        positive = st.fractions(Fraction(1, 11), 9, max_denominator=12)
+        wabs = data.draw(st.lists(positive, min_size=n, max_size=n))
+        nonnegative = st.fractions(0, 9, max_denominator=12)
+        costs = sorted(data.draw(st.lists(nonnegative, min_size=n, max_size=n)))
+        budget = data.draw(positive)
+        ids = data.draw(st.permutations(range(n)))
+
+        def run(money, weight):
+            ws = [w * weight for w in wabs]
+            try:
+                return decide(ws, [c * money for c in costs], ids, budget * money, sum(ws), rules)
+            except EmptyInstance:
+                return None
+
+        base = run(1, 1)
+        m, s = data.draw(positive), data.draw(positive)
+        # the deviation kernel's scaling: every scaled entry an int
+        big_m = math.lcm(budget.denominator, *(c.denominator for c in costs))
+        big_e = math.lcm(*(w.denominator for w in wabs))
+        for money, weight in ((m, s), (big_m, big_e)):
+            scaled = run(money, weight)
+            if base is None:
+                assert scaled is None
+                continue
+            k, i_star, r, p_hat, rate = base
+            assert scaled[:3] == (k, i_star, r)
+            if rate is None:
+                assert scaled[4] is None
+                if r is None:
+                    assert (p_hat, scaled[3]) == (budget, budget * money)
+                else:  # a payment: scales with money
+                    assert Fraction(*scaled[3]) == money * Fraction(*p_hat)
+            else:  # money per unit weight
+                assert Fraction(*scaled[4]) == Fraction(money) / weight * Fraction(*rate)
+
+    def test_integer_input_gives_integer_pairs(self):
+        honest = RULE_SETS["honest"]
+        # equal weights, costs 1, 1, 5, B = 4: the top-k branch at rate 4 / 2
+        topk = decide([1, 1, 1], [1, 1, 5], [0, 1, 2], 4, 3, honest)
+        assert topk == (2, 0, None, None, (4, 2))
+        # weights 2, 3, 1, costs 1, 2, 3, B = 6: individual 1 alone, paid 3 * 3 / (6 - 3)
+        star = decide([2, 3, 1], [1, 2, 3], [0, 1, 2], 6, 6, honest)
+        assert star == (1, 1, 2, (9, 3), None)
+        assert all(type(v) is int for v in topk[4] + star[3])
 
 
 class TestMutations:

@@ -11,6 +11,7 @@ from privauction import (
     EmptyInstance,
     ParameterOutOfRange,
     ValidationError,
+    ValueInterval,
     brute_force_opt,
     fair_inner_product,
     prepare,
@@ -232,6 +233,18 @@ class TestTruthfulnessSweep:
         assert not report.ok
         assert any(w["property"] == "truthful" for w in report.failures)
 
+    def test_size_bound_enforced_before_any_instance(self, monkeypatch):
+        def no_instance(config, index):
+            raise AssertionError("an instance was generated")
+
+        monkeypatch.setattr(verify, "generate_instance", no_instance)
+        limit = verify.TRUTHFUL_LIMIT
+        with pytest.raises(ValidationError, match=f"n_range within {limit}"):
+            run_truthfulness_sweep(SweepConfig(n_range=(2, limit + 1), instance_count=1))
+        # the bound itself is allowed, so this sweep reaches the generator
+        with pytest.raises(AssertionError, match="generated"):
+            run_truthfulness_sweep(SweepConfig(n_range=(2, limit), instance_count=1))
+
     def test_rational_matches_float_verdicts(self):
         base = dict(
             n_range=(2, 6),
@@ -289,6 +302,28 @@ def deviation_instances(draw):
     return (instance.to_rational() if rational else instance), rational
 
 
+def _fractions(*values):
+    return st.sampled_from([Fraction(v) for v in values])
+
+
+@st.composite
+def non_dyadic_instances(draw):
+    """Exact instances whose denominators are not powers of two.
+
+    `deviation_instances` takes its fractions from doubles, so its
+    denominators are powers of two. Here weights, costs and budget have
+    denominators such as 3, 7 and 11, drawn from short lists so that ties
+    stay common.
+    """
+    n = draw(st.integers(2, 6))
+    magnitudes = _fractions("1", "1", "2", "1/3", "2/3", "3/7", "5/11", "22/7")
+    weights = [draw(magnitudes) * draw(st.sampled_from([1, -1])) for _ in range(n)]
+    costs = [draw(_fractions("0", "1/3", "1", "1", "2/7", "5/11", "3", "22/7")) for _ in range(n)]
+    budget = draw(_fractions("1/7", "1/3", "5/7", "1", "20/11", "40/3"))
+    interval = ValueInterval(Fraction(0), Fraction(1))
+    return AuctionInstance(tuple(weights), tuple(costs), budget, interval)
+
+
 class TestDeviatorKernel:
     @pytest.mark.parametrize("mutation", MUTATION_SPECS)
     @given(case=deviation_instances())
@@ -300,6 +335,26 @@ class TestDeviatorKernel:
             true_cost = instance.unit_costs[i]
             kernel = deviator_kernel(instance, i, mutation)
             for z in misreport_grid(instance.unit_costs, i, rational):
+                reported = list(instance.unit_costs)
+                reported[i] = z
+                expected = _outcome(
+                    lambda: _deviation_utility(
+                        instance.with_unit_costs(reported), i, true_cost, mechanism
+                    )
+                )
+                assert _outcome(lambda: kernel(z, true_cost)) == expected, (i, z)
+
+    @pytest.mark.parametrize("mutation", MUTATION_SPECS)
+    @given(instance=non_dyadic_instances())
+    @settings(max_examples=40, deadline=None)
+    def test_exact_path_on_non_dyadic_fractions(self, mutation, instance):
+        mechanism = mechanism_under(mutation)
+        for i in range(instance.n):
+            true_cost = instance.unit_costs[i]
+            kernel = deviator_kernel(instance, i, mutation)
+            # int reports take the exact path too; a float report takes the other one
+            grid = misreport_grid(instance.unit_costs, i, rational=True)
+            for z in (*grid, 0, 1, 3, 0.5):
                 reported = list(instance.unit_costs)
                 reported[i] = z
                 expected = _outcome(

@@ -1,0 +1,177 @@
+"""One sha256 per family of verification reports and CLI outputs.
+
+Usage, from the repository root:
+
+    PYTHONPATH=src python tools/report_digest.py
+
+Two checkouts print the same line for a family exactly when they produce the
+same bytes for it, so running this on a parent commit and on a change shows
+whether the change kept its reports byte-identical. The families:
+
+- ``truthfulness``: truthfulness reports of the honest mechanism and of every
+  entry of ``verify.MUTATIONS``, on float signed/uniform, float integer-grid
+  and rational integer-grid instances, three seeds each;
+- ``approximation``: approximation reports on five weight/cost mixes, float
+  and rational, three seeds each;
+- ``criterion-3``: the two truthfulness sweeps of acceptance criterion 3
+  (10,000 float and 600 rational instances, ``tests/test_acceptance.py``);
+- ``cli``: exit code, stdout and stderr of ``privauction run``, ``oracle``
+  and ``verify`` on a seeded corpus of instance files, including filtered
+  rows and empty instances, in float and rational mode.
+
+The whole run takes about a minute on a 2-core machine; ``--family`` picks
+some families only.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+
+import numpy as np
+
+from privauction import verify
+from privauction.cli import main
+from privauction.verify import SweepConfig, run_approximation_sweep, run_truthfulness_sweep
+
+SEEDS = (3, 5, 7)
+MUTATION_SPECS = [None] + [
+    f"{name}:0.9" if name == "payment-scale" else name for name in verify.MUTATIONS
+]
+INTEGER_GRID = dict(weight_distribution="integer-grid", cost_distribution="integer-grid")
+TRUTHFUL_MIXES = [
+    dict(n_range=(2, 8), instance_count=60),
+    dict(n_range=(2, 8), instance_count=60, **INTEGER_GRID),
+    dict(n_range=(2, 8), instance_count=40, arithmetic_mode="rational", **INTEGER_GRID),
+]
+APPROXIMATION_MIXES = [
+    dict(weight_distribution="signed", cost_distribution="uniform"),
+    dict(weight_distribution="lognormal", cost_distribution="lognormal"),
+    dict(weight_distribution="uniform", cost_distribution="uniform"),
+    INTEGER_GRID,
+    dict(arithmetic_mode="rational", **INTEGER_GRID),
+]
+MASTER_SEED = 20260808  # tests/test_acceptance.py
+CRITERION_3 = [
+    dict(n_range=(2, 10), instance_count=10_000, weight_distribution="signed",
+         rng_seed=MASTER_SEED + 2),
+    dict(n_range=(2, 8), instance_count=600, arithmetic_mode="rational",
+         rng_seed=MASTER_SEED + 3, **INTEGER_GRID),
+]
+
+
+def _report_bytes(report) -> bytes:
+    return json.dumps(report.to_json(), sort_keys=True).encode() + b"\n"
+
+
+def truthfulness():
+    for mix in TRUTHFUL_MIXES:
+        for seed in SEEDS:
+            config = SweepConfig(**mix, rng_seed=seed)
+            for mutation in MUTATION_SPECS:
+                yield _report_bytes(run_truthfulness_sweep(config, mutation=mutation))
+
+
+def approximation():
+    for mix in APPROXIMATION_MIXES:
+        for seed in SEEDS:
+            config = SweepConfig(n_range=(2, 12), instance_count=60, rng_seed=seed, **mix)
+            report = run_approximation_sweep(config)
+            yield _report_bytes(report) + repr(report.csv_rows()).encode()
+
+
+def criterion_3():
+    for fields in CRITERION_3:
+        yield _report_bytes(run_truthfulness_sweep(SweepConfig(**fields)))
+
+
+def _instance_corpus(count: int) -> list[dict]:
+    """Raw instance documents; low budgets filter rows or empty the instance."""
+    rng = np.random.default_rng(11)
+    documents = []
+    for index in range(count):
+        n = int(rng.integers(1, 9))
+        if index % 2:
+            weights = rng.integers(1, 10, n) * rng.choice([-1, 1], n)
+            costs = rng.integers(0, 10, n)
+            budget = int(rng.integers(1, 20))
+        else:
+            weights = rng.lognormal(0.0, 1.0, n) * rng.choice([-1.0, 1.0], n)
+            costs = rng.uniform(0.0, 2.0, n)
+            budget = float(rng.uniform(0.05, 4.0))
+        documents.append({
+            "weights": weights.tolist(),
+            "unit_costs": costs.tolist(),
+            "budget": budget,
+            "interval": {"min": 0.0, "max": 1.0},
+            "database": rng.uniform(0.0, 1.0, n).tolist(),
+        })
+    return documents
+
+
+def _invoke(args: list[str]) -> bytes:
+    """``privauction <args>`` in this process: exit code, stdout and stderr."""
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            main.main(args, prog_name="privauction", standalone_mode=False)
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+    return json.dumps([code, out.getvalue(), err.getvalue()]).encode() + b"\n"
+
+
+def cli():
+    start = os.getcwd()
+    with tempfile.TemporaryDirectory() as directory:
+        os.chdir(directory)  # file names in error messages stay relative
+        try:
+            for index, document in enumerate(_instance_corpus(60)):
+                name = f"instance-{index}.json"
+                with open(name, "w") as handle:
+                    json.dump(document, handle)
+                for mode in ("float", "rational"):
+                    yield _invoke(["run", name, "--arithmetic", mode])
+                    yield _invoke(["run", name, "--arithmetic", mode, "--compare-opt",
+                                   "--database", "--seed", str(index)])
+                    yield _invoke(["run", name, "--arithmetic", mode, "--output", "csv"])
+                    yield _invoke(["oracle", name, "--arithmetic", mode])
+            with open("sweep.json", "w") as handle:
+                json.dump({"n_range": [2, 7], "instance_count": 15, **INTEGER_GRID}, handle)
+            for mode in ("float", "rational"):
+                for seed in SEEDS:
+                    for mutation in MUTATION_SPECS:
+                        args = ["verify", "sweep.json", "--arithmetic", mode, "--seed", str(seed)]
+                        yield _invoke(args + (["--mutate", mutation] if mutation else []))
+                    yield _invoke(["verify", "sweep.json", "--arithmetic", mode, "--seed",
+                                   str(seed), "--output", "csv"])
+        finally:
+            os.chdir(start)
+
+
+FAMILIES = {
+    "truthfulness": truthfulness,
+    "approximation": approximation,
+    "criterion-3": criterion_3,
+    "cli": cli,
+}
+
+
+def main_digest() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--family", action="append", choices=sorted(FAMILIES),
+                        help="digest only this family (repeatable); default: all")
+    args = parser.parse_args()
+    for name in args.family or FAMILIES:
+        digest, parts = hashlib.sha256(), 0
+        for part in FAMILIES[name]():
+            digest.update(part)
+            parts += 1
+        print(f"{name:<14} {digest.hexdigest()}  ({parts} outputs)")
+
+
+if __name__ == "__main__":
+    main_digest()
