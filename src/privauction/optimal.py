@@ -3,9 +3,10 @@
 The continuous benchmark fills the cheapest individuals completely, one
 individual fractionally, and nothing beyond, with the crossover chosen so the
 tight individually-rational payments exhaust the budget exactly. The integer
-oracle is an exact knapsack branch-and-bound (desk scale only) that returns
-the lexicographically smallest optimal participation vector; it is the ground
-truth the mechanism's approximation guarantees are measured against. Both
+oracle is an exact knapsack branch-and-bound (desk scale only), seeded with
+the greedy solution as a floor, that returns the lexicographically smallest
+optimal participation vector; it is the ground truth the mechanism's
+approximation guarantees are measured against. Both
 solutions are indexed by canonical position; their ``to_json`` reports them
 by input row through the row map of `instances.prepare`.
 """
@@ -195,6 +196,13 @@ class OracleSolution:
         }
 
 
+def _exact(instance: AuctionInstance) -> bool:
+    """Whether every weight, cost and the budget is a `Fraction`, so nothing rounds."""
+    return all(
+        type(v) is Fraction for v in (instance.budget, *instance.weights, *instance.unit_costs)
+    )
+
+
 def brute_force_opt(instance: AuctionInstance) -> OracleSolution:
     """Exact integer optimum by knapsack branch-and-bound (desk scale only).
 
@@ -207,6 +215,16 @@ def brute_force_opt(instance: AuctionInstance) -> OracleSolution:
     instances share the search; rational input is solved exactly. Full
     participation is excluded (its noise scale is zero), except in the
     all-costs-zero corner where it is free and optimal by inspection.
+
+    The search is seeded with the greedy leaf (Horowitz & Sahni 1974): the
+    items that fit in cost order, replayed in index order along the take
+    path. Its value is a floor, not an incumbent: a leaf is accepted only at
+    or above it and a node is entered only if its bound can reach it, while
+    the incumbent still starts at zero and is replaced only on a strict
+    improvement, so the tie rule is unchanged. On float input the floor test
+    allows ``n`` ulps of the total weight: the bound sums in cost order and
+    can round one ulp below the index-order value of a leaf it covers, and
+    without that slack such a leaf, the optimum, would be cut.
     """
     n = instance.n
     if n > ORACLE_LIMIT:
@@ -237,28 +255,50 @@ def brute_force_opt(instance: AuctionInstance) -> OracleSolution:
         return value
 
     zero = wabs[0] * 0
+    # The greedy leaf: fill in cost order, then replay the picked set along
+    # the search's own take path, so its value is a leaf value the search
+    # reaches bit for bit. No optimum lies below it.
+    picked, used = set(), zero
+    for j in by_cost:
+        if used + sizes[j] <= capacity:
+            picked.add(j)
+            used += sizes[j]
+    floor, value, used = zero, zero, zero
+    for i in sorted(picked):
+        if used + sizes[i] > capacity:
+            break
+        used += sizes[i]
+        value += wabs[i]
+    else:
+        if 0 < len(picked) < n:
+            floor = value
+    # The cost-order bound can round below the index-order sum of a leaf it
+    # covers, so on rounded input a branch stays open within n ulps of W.
+    slack = zero if _exact(instance) else n * 2.0**-52 * instance.total_weight
+
     x = [0] * n
     best_x = tuple(x)
     best = zero
 
     def visit(i, value, used, chosen, bound):
-        """Search below a node whose bound beats the incumbent."""
+        """Search below a node whose bound beats the incumbent and the floor."""
         nonlocal best, best_x
         if i == n:
-            if chosen < n and value > best:  # full participation stays excluded
+            # full participation stays excluded
+            if chosen < n and value > best and value >= floor:
                 best, best_x = value, tuple(x)
             return
         skip = dantzig(i + 1, value, used)
-        if skip > best:
+        if skip > best and skip + slack >= floor:
             visit(i + 1, value, used, chosen, skip)
         # Taking i only narrows the subtree, so the parent's bound holds.
-        if bound > best and used + sizes[i] <= capacity:
+        if bound > best and bound + slack >= floor and used + sizes[i] <= capacity:
             x[i] = 1
             visit(i + 1, value + wabs[i], used + sizes[i], chosen + 1, bound)
             x[i] = 0
 
     root = dantzig(0, zero, zero)
-    if root > best:
+    if root > best and root + slack >= floor:
         visit(0, zero, zero, 0, root)
     resid = instance.total_weight - instance.weight_of(i for i in range(n) if best_x[i])
     payments = tuple(costs[i] * wabs[i] * best_x[i] / resid for i in range(n))
@@ -322,14 +362,14 @@ def opt_bounds_check(
     k = outcome.k
     degenerate = all(v == 0 for v in instance.unit_costs)
     if degenerate:
-        fractional_objective = float(instance.total_weight)
+        frac_value = instance.total_weight
         ell = n
         kkt_ok = True
         budget_identity_ok = True
         tail_mass = 0.0
     else:
         fractional = fractional_optimum(instance)
-        fractional_objective = float(fractional.objective)
+        frac_value = fractional.objective
         ell = fractional.ell
         cert = kkt_certificate(instance, fractional)
         kkt_ok = cert.satisfied()
@@ -338,14 +378,19 @@ def opt_bounds_check(
             sum(wabs[i] * fractional.x_star[i] for i in range(k, min(ell + 1, n)))
         )
 
+    fractional_objective = float(frac_value)
     opt = float(oracle.objective)
     mech = float(outcome.objective)
     ratio = opt / mech if mech > 0 else math.inf
-    rel = 1 + 1e-9
+    # Rational input compares its exact objectives with no slack.
+    if _exact(instance):
+        opt_v, frac_v, mech_v, rel = oracle.objective, frac_value, outcome.objective, 1
+    else:
+        opt_v, frac_v, mech_v, rel = opt, fractional_objective, mech, 1 + 1e-9
 
     checks = {
-        "fractional_dominates": opt <= fractional_objective * rel,
-        "ratio_le_5": opt <= 5 * mech * rel,
+        "fractional_dominates": opt_v <= frac_v * rel,
+        "ratio_le_5": opt_v <= 5 * mech_v * rel,
         "ell_ge_k": ell >= k,
         "prefix_weight_bound": degenerate
         or float(sum(wabs[i] for i in range(min(k + 1, n)))) > tail_mass,
@@ -354,7 +399,7 @@ def opt_bounds_check(
     }
     uniform = instance.has_uniform_weights
     if uniform:
-        checks["ratio_le_2_uniform"] = opt <= 2 * mech * rel
+        checks["ratio_le_2_uniform"] = opt_v <= 2 * mech_v * rel
     return OptBoundsReport(
         opt, fractional_objective, mech, ratio, uniform, degenerate, ell, k, checks
     )

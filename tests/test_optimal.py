@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privauction import (
+    AuctionInstance,
     DegenerateAllOnes,
     EmptyInstance,
     InstanceTooLarge,
@@ -63,6 +65,40 @@ def reference_optimum(inst):
         value = sum(wabs[i] for i in range(n) if x[i])
         if best is None or value > best:
             best_x, best = x, value
+    return best_x, best
+
+
+def search_reference(inst):
+    """The oracle's own semantics by plain enumeration (n <= 12).
+
+    Vectors go in lexicographic order, exclude first. A vector is feasible
+    when the size sum, run in index order, stays within the capacity at every
+    taken item, and its value is summed in index order from zero, so on float
+    input every value is the one the search computes for that leaf. The first
+    vector of the greatest value wins.
+    """
+    n = inst.n
+    wabs = inst.abs_weights
+    costs = inst.unit_costs
+    if all(v == 0 for v in costs):
+        return (1,) * n, inst.total_weight
+    sizes = [wabs[i] * (costs[i] + inst.budget) for i in range(n)]
+    capacity = inst.budget * inst.total_weight
+    zero = wabs[0] * 0
+    best_x, best = None, None
+    for x in itertools.product((0, 1), repeat=n):
+        if all(x):
+            continue
+        used = value = zero
+        for i in range(n):
+            if x[i]:
+                if used + sizes[i] > capacity:
+                    break
+                used += sizes[i]
+                value += wabs[i]
+        else:
+            if best is None or value > best:
+                best_x, best = x, value
     return best_x, best
 
 
@@ -321,6 +357,54 @@ class TestBranchAndBoundCrossCheck:
         assert brute_force_opt(inst).x == x
 
 
+class TestSearchSemantics:
+    """The search, greedy seed included, against its exact semantics."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        family=st.sampled_from(["unsorted", "cost-ties", "uniform", "rational"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_search_reference(self, seed, family):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 13))
+        weights = rng.lognormal(0, 1, n) * rng.choice([-1.0, 1.0], n)
+        costs = rng.uniform(0, 2, n)  # unsorted: the bound must reorder
+        budget = float(rng.uniform(0.05, 4))
+        if family == "cost-ties":
+            costs = rng.choice(rng.uniform(0, 2, 3), n)
+        elif family == "uniform":
+            weights = np.full(n, float(rng.lognormal(0, 1)))
+        inst = make_instance(weights, costs, budget)
+        if family == "rational":
+            inst = AuctionInstance(
+                tuple(Fraction(int(w), int(d)) for w, d in zip(
+                    rng.integers(-9, 10, n) | 1, rng.integers(1, 6, n))),
+                tuple(Fraction(int(v), int(d)) for v, d in zip(
+                    rng.integers(0, 7, n), rng.integers(1, 6, n))),
+                Fraction(int(rng.integers(1, 30)), 10),
+                UNIT,
+            )
+        sol = brute_force_opt(inst)
+        assert (sol.x, sol.objective) == search_reference(inst)
+
+    def test_bound_one_ulp_below_optimal_leaf(self):
+        # The Dantzig bound after taking row 0 rounds to 4.7739994037409055,
+        # one ulp below the optimum's index-order value; a floor test without
+        # slack cut that branch and returned the zero vector.
+        inst = AuctionInstance(
+            (1.3722493713795019, -19.418732848230754, -1.157862722137618,
+             -0.9926086319318717, -1.251278678291914),
+            (1.2951580021189417, 0.8995888580571936, 1.4624149790534118,
+             0.3743832961626392, 1.7958460414121196),
+            3.654705255761879,
+            UNIT,
+        )
+        sol = brute_force_opt(inst)
+        assert sol.x == (1, 0, 1, 1, 1)
+        assert sol.objective == 4.773999403740906
+
+
 class TestOptBoundsCheck:
     def test_hardness_composition(self, hardness):
         report = opt_bounds_check(hardness)
@@ -377,3 +461,13 @@ class TestOptBoundsCheck:
         report = opt_bounds_check(inst)
         assert report.degenerate_zero_costs
         assert report.ok, report.checks
+
+    def test_rational_objectives_compared_exactly(self, hardness):
+        # A mechanism short of OPT / 5 by a relative 1e-12 passes the float
+        # slack, but rational input is checked with none.
+        opt = brute_force_opt(hardness.to_rational()).objective
+        short = opt / 5 * (1 - Fraction(1, 10**12))
+        exact = opt_bounds_check(hardness.to_rational(), SimpleNamespace(k=1, objective=short))
+        rounded = opt_bounds_check(hardness, SimpleNamespace(k=1, objective=float(short)))
+        assert not exact.checks["ratio_le_5"]
+        assert rounded.checks["ratio_le_5"]

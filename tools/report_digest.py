@@ -17,7 +17,11 @@ whether the change kept its reports byte-identical. The families:
   (10,000 float and 600 rational instances, ``tests/test_acceptance.py``);
 - ``cli``: exit code, stdout and stderr of ``privauction run``, ``oracle``
   and ``verify`` on a seeded corpus of instance files, including filtered
-  rows and empty instances, in float and rational mode.
+  rows and empty instances, in float and rational mode;
+- ``oracle``: ``brute_force_opt``'s vector, objective and payments on every
+  weight and cost distribution of ``generate_instance`` at n 2-20, on
+  rational integer-grid instances, and on raw (uncanonicalized) instances
+  with unsorted costs, cost ties or uniform weights.
 
 The whole run takes about a minute on a 2-core machine; ``--family`` picks
 some families only.
@@ -33,9 +37,16 @@ from io import StringIO
 
 import numpy as np
 
-from privauction import verify
+from privauction import AuctionInstance, ValueInterval, brute_force_opt, verify
 from privauction.cli import main
-from privauction.verify import SweepConfig, run_approximation_sweep, run_truthfulness_sweep
+from privauction.verify import (
+    COST_DISTRIBUTIONS,
+    WEIGHT_DISTRIBUTIONS,
+    SweepConfig,
+    generate_instance,
+    run_approximation_sweep,
+    run_truthfulness_sweep,
+)
 
 SEEDS = (3, 5, 7)
 MUTATION_SPECS = [None] + [
@@ -86,6 +97,39 @@ def approximation():
 def criterion_3():
     for fields in CRITERION_3:
         yield _report_bytes(run_truthfulness_sweep(SweepConfig(**fields)))
+
+
+def _raw_instances(count: int):
+    """Unfiltered instances as given: unsorted costs, cost ties, uniform weights."""
+    rng = np.random.default_rng(13)
+    for index in range(count):
+        n = int(rng.integers(2, 21))
+        weights = rng.lognormal(0.0, 1.0, n) * rng.choice([-1.0, 1.0], n)
+        costs = rng.uniform(0.0, 2.0, n)
+        if index % 3 == 1:
+            costs = rng.choice(rng.uniform(0.0, 2.0, 3), n)
+        elif index % 3 == 2:
+            weights = np.full(n, rng.lognormal(0.0, 1.0))
+        yield AuctionInstance(
+            tuple(weights.tolist()), tuple(costs.tolist()), float(rng.uniform(0.05, 4.0)),
+            ValueInterval(0.0, 1.0),
+        )
+
+
+def oracle():
+    instances = []
+    for weights in WEIGHT_DISTRIBUTIONS:
+        for costs in COST_DISTRIBUTIONS:
+            config = SweepConfig(n_range=(2, 20), instance_count=150, rng_seed=17,
+                                 weight_distribution=weights, cost_distribution=costs)
+            instances += [generate_instance(config, index) for index in range(150)]
+    config = SweepConfig(n_range=(2, 16), instance_count=150, rng_seed=19,
+                         arithmetic_mode="rational", **INTEGER_GRID)
+    instances += [generate_instance(config, index).to_rational() for index in range(150)]
+    instances += _raw_instances(600)
+    for instance in instances:
+        solution = brute_force_opt(instance)
+        yield repr((solution.x, solution.objective, solution.payments)).encode() + b"\n"
 
 
 def _instance_corpus(count: int) -> list[dict]:
@@ -157,6 +201,7 @@ FAMILIES = {
     "approximation": approximation,
     "criterion-3": criterion_3,
     "cli": cli,
+    "oracle": oracle,
 }
 
 
