@@ -14,20 +14,9 @@ import sys
 
 import click
 
-from .errors import (
-    EmptyInstance,
-    InstanceTooLarge,
-    PrivauctionError,
-    ValidationError,
-)
+from .errors import DegenerateAllOnes, EmptyInstance, PrivauctionError, ValidationError
 from .estimator import evaluate
-from .instances import (
-    ValueInterval,
-    _load_json,
-    parse_database,
-    parse_instance,
-    prepare,
-)
+from .instances import ValueInterval, _load_json, parse_database, parse_instance, prepare
 from .mechanism import fair_inner_product
 from .optimal import brute_force_opt, fractional_optimum
 from .predictors import FeatureSet, WeightSpec, build_instance, load_feature_csv
@@ -71,11 +60,13 @@ def _emit_json(data: dict) -> None:
     click.echo(_dumps(data))
 
 
-def _emit_csv(rows) -> None:
+def _emit(output: str, report: dict, csv_rows) -> None:
+    """Print ``report`` as JSON, or the rows that ``csv_rows()`` gives as CSV."""
+    if output == "json":
+        _emit_json(report)
+        return
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    for row in rows:
-        writer.writerow(row)
+    csv.writer(buffer, lineterminator="\n").writerows(csv_rows())
     click.echo(buffer.getvalue(), nl=False)
 
 
@@ -85,14 +76,30 @@ def _fail(code: int, error: Exception) -> None:
     sys.exit(code)
 
 
-def _classify(error: Exception) -> int:
-    if isinstance(error, EmptyInstance):
-        return EXIT_EMPTY
-    return EXIT_INPUT
+class _Commands(click.Group):
+    """The command group; it maps every command's errors onto the exit codes.
+
+    An empty instance exits 2 and any other package error 1. A ValueError is
+    a malformed value in the input (a number on the command line, a file that
+    is not UTF-8) and exits 1 as a ValidationError.
+    """
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except PrivauctionError as exc:
+            _fail(EXIT_EMPTY if isinstance(exc, EmptyInstance) else EXIT_INPUT, exc)
+        except ValueError as exc:
+            _fail(EXIT_INPUT, ValidationError(str(exc)))
 
 
-def _prepare(document: dict, arithmetic: str):
-    """Parse, filter and canonicalize; ``rows`` maps canonical positions to input rows."""
+def _load(path, arithmetic: str):
+    """Load, parse, filter and canonicalize an instance file.
+
+    Returns the parsed instance, the canonical survivor instance, ``rows``
+    (canonical position to input row), the removed rows and the database.
+    """
+    document = _load_json(path)
     instance = parse_instance(document)
     database = parse_database(document, instance)
     if arithmetic == "rational":
@@ -101,7 +108,7 @@ def _prepare(document: dict, arithmetic: str):
     return instance, canonical, rows, removed, database
 
 
-@click.group()
+@click.group(cls=_Commands)
 def main() -> None:
     """Privacy auctions for weighted linear predictors."""
 
@@ -115,50 +122,32 @@ def main() -> None:
 @click.option("--arithmetic", type=click.Choice(["float", "rational"]), default="float", show_default=True)
 def cmd_run(instance_path, compare_opt, use_database, seed, output, arithmetic):
     """Run the auction on an instance file and print the outcome."""
-    try:
-        document = _load_json(instance_path)
-        original, canonical, rows, removed, database = _prepare(document, arithmetic)
-        outcome = fair_inner_product(canonical, identity=rows)
-    except PrivauctionError as exc:
-        _fail(_classify(exc), exc)
-
+    original, canonical, rows, removed, database = _load(instance_path, arithmetic)
+    outcome = fair_inner_product(canonical, identity=rows)
     n0 = original.n
     report = outcome.to_json(rows, n0)
     report["removed"] = removed
+    if compare_opt:
+        oracle = brute_force_opt(canonical)
+        report["oracle"] = oracle.to_json(rows, n0)
+        try:
+            report["fractional"] = fractional_optimum(canonical).to_json(rows, n0)
+        except DegenerateAllOnes as exc:
+            report["fractional"] = {"error": type(exc).__name__, "message": str(exc)}
+        report["ratio"] = float(oracle.objective) / float(outcome.objective)
+    if use_database:
+        if database is None:
+            raise ValidationError("instance file has no database block")
+        report["estimate"] = evaluate(outcome.dclef, database.subset(rows), seed)
+        report["seed"] = seed
 
-    try:
-        if compare_opt:
-            oracle = brute_force_opt(canonical)
-            report["oracle"] = oracle.to_json(rows, n0)
-            try:
-                report["fractional"] = fractional_optimum(canonical).to_json(rows, n0)
-            except PrivauctionError as exc:
-                report["fractional"] = {"error": type(exc).__name__, "message": str(exc)}
-            report["ratio"] = float(oracle.objective) / float(outcome.objective)
-        if use_database:
-            if database is None:
-                raise ValidationError("instance file has no database block")
-            report["estimate"] = evaluate(outcome.dclef, database.subset(rows), seed)
-            report["seed"] = seed
-    except (InstanceTooLarge, ValidationError) as exc:
-        _fail(EXIT_INPUT, exc)
-
-    if output == "csv":
-        table = [("index", "weight", "unit_cost", "x", "payment", "epsilon")]
-        for i in range(n0):
-            table.append(
-                (
-                    i,
-                    f"{float(original.weights[i]):.12g}",
-                    f"{float(original.unit_costs[i]):.12g}",
-                    report["dclef"]["x"][i],
-                    f"{float(report['payments'][i]):.12g}",
-                    f"{float(report['dclef']['epsilons'][i]):.12g}",
-                )
-            )
-        _emit_csv(table)
-    else:
-        _emit_json(report)
+    dclef = report["dclef"]
+    _emit(output, report, lambda: [("index", "weight", "unit_cost", "x", "payment", "epsilon")] + [
+        (i, f"{float(w):.12g}", f"{float(v):.12g}", x, f"{float(p):.12g}", f"{float(e):.12g}")
+        for i, (w, v, x, p, e) in enumerate(zip(
+            original.weights, original.unit_costs, dclef["x"], report["payments"], dclef["epsilons"]
+        ))
+    ])
 
 
 @main.command("verify")
@@ -172,28 +161,21 @@ def cmd_run(instance_path, compare_opt, use_database, seed, output, arithmetic):
 @click.option("--output", type=click.Choice(["json", "csv"]), default="json", show_default=True)
 def cmd_verify(config_path, mutate, seed, instances, arithmetic, threads, skip_approximation, output):
     """Run property sweeps; exit 0 only when every property holds everywhere."""
-    try:
-        data = _load_json(config_path) if config_path else {}
-        overrides = {"rng_seed": seed, "instance_count": instances, "arithmetic_mode": arithmetic}
-        if isinstance(data, dict):  # anything else is rejected by from_json
-            data.update((key, value) for key, value in overrides.items() if value is not None)
-        config = SweepConfig.from_json(data)
-        truthfulness = run_truthfulness_sweep(config, mutation=mutate, threads=threads)
-        reports = {"truthfulness": truthfulness.to_json()}
-        approximation = None
-        if not skip_approximation:
-            approximation = run_approximation_sweep(config, threads=threads)
-            reports["approximation"] = approximation.to_json()
-    except PrivauctionError as exc:
-        _fail(_classify(exc), exc)
+    data = _load_json(config_path) if config_path else {}
+    overrides = {"rng_seed": seed, "instance_count": instances, "arithmetic_mode": arithmetic}
+    if isinstance(data, dict):  # anything else is rejected by from_json
+        data.update((key, value) for key, value in overrides.items() if value is not None)
+    config = SweepConfig.from_json(data)
+    truthfulness = run_truthfulness_sweep(config, mutation=mutate, threads=threads)
+    reports = {"truthfulness": truthfulness.to_json()}
+    approximation = None
+    if not skip_approximation:
+        approximation = run_approximation_sweep(config, threads=threads)
+        reports["approximation"] = approximation.to_json()
 
     ok = truthfulness.ok and (approximation is None or approximation.ok)
-    payload = {"ok": ok, "reports": reports}
-    if output == "csv":
-        rows = approximation.csv_rows() if approximation is not None else [("instance_id", "ratio", "branch")]
-        _emit_csv(rows)
-    else:
-        _emit_json(payload)
+    # a truthfulness report has no ratio rows: its CSV is the header alone
+    _emit(output, {"ok": ok, "reports": reports}, (approximation or truthfulness).csv_rows)
     if not ok:
         witnesses = truthfulness.failures + (approximation.failures if approximation else [])
         click.echo(json.dumps({"witnesses": witnesses[:10]}, sort_keys=True), err=True)
@@ -219,40 +201,29 @@ def cmd_verify(config_path, mutate, seed, instances, arithmetic, threads, skip_a
 def cmd_weights(features_csv, query, query_csv, method, k, kernel, bandwidth, lam,
                 drop_tol, id_column, costs, budget, r_min, r_max, output):
     """Derive predictor weights from feature data; optionally emit a full instance."""
-    try:
-        _, matrix = load_feature_csv(features_csv, id_column=id_column)
-        if (query is None) == (query_csv is None):
-            raise ValidationError("provide exactly one of --query or --query-csv")
-        if query is not None:
-            query_vector = [float(part) for part in query.split(",")]
-        else:
-            _, query_matrix = load_feature_csv(query_csv, id_column=False)
-            if query_matrix.shape[0] != 1:
-                raise ValidationError("query CSV must contain exactly one row")
-            query_vector = list(query_matrix[0])
-        features = FeatureSet(matrix, query_vector)
-        spec = WeightSpec(
-            method=method, k=k, kernel=kernel, bandwidth=bandwidth, lam=lam, drop_tol=drop_tol
-        )
-        derived = spec.derive(features)
-        report = derived.to_json()
-        if (costs is None) != (budget is None):
-            raise ValidationError("--costs and --budget must be given together")
-        if costs is not None:
-            cost_values = [float(part) for part in costs.split(",")]
-            instance = build_instance(
-                derived, cost_values, budget, ValueInterval(r_min, r_max)
-            )
-            report.update(instance.to_json())
-    except ValueError as exc:
-        _fail(EXIT_INPUT, ValidationError(str(exc)))
-    except PrivauctionError as exc:
-        _fail(_classify(exc), exc)
-
-    if output == "csv":
-        _emit_csv(derived.csv_rows())
+    _, matrix = load_feature_csv(features_csv, id_column=id_column)
+    if (query is None) == (query_csv is None):
+        raise ValidationError("provide exactly one of --query or --query-csv")
+    if query is not None:
+        query_vector = [float(part) for part in query.split(",")]
     else:
-        _emit_json(report)
+        _, query_matrix = load_feature_csv(query_csv, id_column=False)
+        if query_matrix.shape[0] != 1:
+            raise ValidationError("query CSV must contain exactly one row")
+        query_vector = list(query_matrix[0])
+    features = FeatureSet(matrix, query_vector)
+    spec = WeightSpec(
+        method=method, k=k, kernel=kernel, bandwidth=bandwidth, lam=lam, drop_tol=drop_tol
+    )
+    derived = spec.derive(features)
+    report = derived.to_json()
+    if (costs is None) != (budget is None):
+        raise ValidationError("--costs and --budget must be given together")
+    if costs is not None:
+        cost_values = [float(part) for part in costs.split(",")]
+        instance = build_instance(derived, cost_values, budget, ValueInterval(r_min, r_max))
+        report.update(instance.to_json())
+    _emit(output, report, derived.csv_rows)
 
 
 @main.command("oracle")
@@ -261,21 +232,13 @@ def cmd_weights(features_csv, query, query_csv, method, k, kernel, bandwidth, la
 @click.option("--output", type=click.Choice(["json", "csv"]), default="json", show_default=True)
 def cmd_oracle(instance_path, arithmetic, output):
     """Exact integer optimum of the filtered instance (desk scale only)."""
-    try:
-        document = _load_json(instance_path)
-        original, canonical, rows, removed, _ = _prepare(document, arithmetic)
-        oracle = brute_force_opt(canonical)
-    except PrivauctionError as exc:
-        _fail(_classify(exc), exc)
-    n0 = original.n
-    report = oracle.to_json(rows, n0)
+    original, canonical, rows, removed, _ = _load(instance_path, arithmetic)
+    report = brute_force_opt(canonical).to_json(rows, original.n)
     report["removed"] = removed
-    if output == "csv":
-        table = [("index", "x", "payment")]
-        table.extend((i, report["x"][i], f"{report['payments'][i]:.12g}") for i in range(n0))
-        _emit_csv(table)
-    else:
-        _emit_json(report)
+    _emit(output, report, lambda: [("index", "x", "payment")] + [
+        (i, x, f"{payment:.12g}")
+        for i, (x, payment) in enumerate(zip(report["x"], report["payments"]))
+    ])
 
 
 @main.command("fractional")
@@ -284,24 +247,13 @@ def cmd_oracle(instance_path, arithmetic, output):
 @click.option("--output", type=click.Choice(["json", "csv"]), default="json", show_default=True)
 def cmd_fractional(instance_path, arithmetic, output):
     """Closed-form continuous optimum of the filtered instance."""
-    try:
-        document = _load_json(instance_path)
-        original, canonical, rows, removed, _ = _prepare(document, arithmetic)
-        fractional = fractional_optimum(canonical)
-    except PrivauctionError as exc:
-        _fail(_classify(exc), exc)
-    n0 = original.n
-    report = fractional.to_json(rows, n0)
+    original, canonical, rows, removed, _ = _load(instance_path, arithmetic)
+    report = fractional_optimum(canonical).to_json(rows, original.n)
     report["removed"] = removed
-    if output == "csv":
-        table = [("index", "x_star", "payment")]
-        table.extend(
-            (i, f"{report['x_star'][i]:.12g}", f"{report['payments'][i]:.12g}")
-            for i in range(n0)
-        )
-        _emit_csv(table)
-    else:
-        _emit_json(report)
+    _emit(output, report, lambda: [("index", "x_star", "payment")] + [
+        (i, f"{x:.12g}", f"{payment:.12g}")
+        for i, (x, payment) in enumerate(zip(report["x_star"], report["payments"]))
+    ])
 
 
 if __name__ == "__main__":

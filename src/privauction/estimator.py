@@ -11,6 +11,7 @@ generator is always passed in, never global.
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -23,7 +24,7 @@ from .errors import (
     UnboundedPrivacyLoss,
     ValidationError,
 )
-from .instances import AuctionInstance, Database
+from .instances import AuctionInstance, Database, _check_finite, scatter
 
 __all__ = [
     "Lef",
@@ -96,8 +97,11 @@ class Lef:
                 f"{len(self.x)} interpolation parameters for {self.instance.n} individuals"
             )
         for i, xi in enumerate(self.x):
+            if not isinstance(xi, (int, float, Fraction)):
+                raise ValidationError(f"interpolation parameter is not a number at index {i}")
             if not 0 <= xi <= 1:
                 raise ValidationError(f"interpolation parameter out of [0, 1] at index {i}")
+        _check_finite(self.sigma, "noise scale")
         if self.sigma < 0:
             raise ValidationError("noise scale must be nonnegative")
         if self.anchors is not None:
@@ -181,14 +185,15 @@ class Dclef:
     x: tuple
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x", tuple(int(xi) for xi in self.x))
-        if len(self.x) != self.instance.n:
+        x = tuple(self.x)
+        if len(x) != self.instance.n:
             raise DimensionMismatch(
-                f"{len(self.x)} participation flags for {self.instance.n} individuals"
+                f"{len(x)} participation flags for {self.instance.n} individuals"
             )
-        for i, xi in enumerate(self.x):
-            if xi not in (0, 1):
+        for i, xi in enumerate(x):
+            if xi not in (0, 1):  # checked before int() could truncate it
                 raise ValidationError(f"participation flag not binary at index {i}")
+        object.__setattr__(self, "x", tuple(map(int, x)))
 
     @classmethod
     def from_selected(cls, instance: AuctionInstance, selected: Iterable[int]) -> "Dclef":
@@ -237,20 +242,23 @@ class Dclef:
     def deterministic_part(self, database) -> float:
         return self.as_lef().deterministic_part(database)
 
-    def to_json(self) -> dict:
-        eps = self.epsilons()
+    def to_json(self, rows: Sequence[int] | None = None, n: int | None = None) -> dict:
+        """Report by input row, as `MechanismOutcome.to_json`; an unbounded loss reads "inf"."""
+        rows = range(self.n) if rows is None else rows
+        n = len(rows) if n is None else n
+        eps = ["inf" if math.isinf(e) else float(e) for e in self.epsilons()]
         return {
-            "x": list(self.x),
+            "x": scatter(self.x, rows, n, 0),
             "sigma": float(self.sigma),
-            "epsilons": ["inf" if math.isinf(e) else float(e) for e in eps],
+            "epsilons": scatter(eps, rows, n),
             "distortion": float(self.distortion()),
         }
 
 
 def evaluate(lef: Lef | Dclef, database, rng) -> float:
-    """Sample the estimator on a database; deterministic for a fixed seed."""
-    if isinstance(lef, Dclef):
-        lef = lef.as_lef()
+    """Sample the estimator on a database; deterministic for a fixed, nonnegative seed."""
+    if isinstance(rng, (int, np.integer)) and rng < 0:
+        raise ValidationError("seed must be nonnegative")
     return lef.deterministic_part(database) + _draw_noise(lef.sigma, rng)
 
 

@@ -84,15 +84,6 @@ def _check_entries(values: tuple, what: str, rejects, reason: str, parsed: bool)
             raise ValidationError(reason.format(i))
 
 
-def _check_length(n: int, unit_costs: tuple) -> None:
-    if len(unit_costs) != n:
-        raise ValidationError(f"length mismatch: {n} weights vs {len(unit_costs)} unit costs")
-
-
-def _check_unit_costs(unit_costs: tuple, parsed: bool) -> None:
-    _check_entries(unit_costs, "unit cost", _is_negative, "negative unit cost at index {}", parsed)
-
-
 @dataclass(frozen=True)
 class ValueInterval:
     """Closed real interval that bounds every private data entry."""
@@ -149,9 +140,13 @@ class AuctionInstance:
         n = len(self.weights)
         if n < 1:
             raise EmptyInstance("instance has no individuals")
-        _check_length(n, self.unit_costs)
+        m = len(self.unit_costs)
+        if m != n:
+            raise ValidationError(f"length mismatch: {n} weights vs {m} unit costs")
         _check_entries(self.weights, "weight", _is_zero, "weight zero at index {}", parsed)
-        _check_unit_costs(self.unit_costs, parsed)
+        _check_entries(
+            self.unit_costs, "unit cost", _is_negative, "negative unit cost at index {}", parsed
+        )
         _check_finite(self.budget, "budget")
         if self.budget < 0:
             raise ValidationError("negative budget")
@@ -195,17 +190,6 @@ class AuctionInstance:
         first = self.abs_weights[0]
         return all(w == first for w in self.abs_weights)
 
-    def with_unit_costs(self, unit_costs: Sequence) -> "AuctionInstance":
-        """Same instance with a replaced cost vector (misreport plumbing).
-
-        Only the new vector is checked, with the public constructor's errors;
-        the weights, budget and interval were checked when this instance was built.
-        """
-        costs = tuple(unit_costs)
-        _check_length(self.n, costs)
-        _check_unit_costs(costs, parsed=False)
-        return AuctionInstance._trusted(self.weights, costs, self.budget, self.interval)
-
     def subset(self, indices: Sequence[int]) -> "AuctionInstance":
         """Instance restricted to the given individuals, order preserved.
 
@@ -224,20 +208,15 @@ class AuctionInstance:
         )
 
     def to_rational(self) -> "AuctionInstance":
-        """Exact view: every numeric field converted to `Fraction`."""
-        return AuctionInstance(
-            tuple(Fraction(w) for w in self.weights),
-            tuple(Fraction(v) for v in self.unit_costs),
+        """Exact view: every numeric field converted to `Fraction`.
+
+        The conversion is exact, so the valid fields stay valid and are not checked again.
+        """
+        return AuctionInstance._trusted(
+            tuple(map(Fraction, self.weights)),
+            tuple(map(Fraction, self.unit_costs)),
             Fraction(self.budget),
             ValueInterval(Fraction(self.interval.r_min), Fraction(self.interval.r_max)),
-        )
-
-    def to_float(self) -> "AuctionInstance":
-        return AuctionInstance(
-            tuple(float(w) for w in self.weights),
-            tuple(float(v) for v in self.unit_costs),
-            float(self.budget),
-            ValueInterval(float(self.interval.r_min), float(self.interval.r_max)),
         )
 
     def to_json(self) -> dict:

@@ -78,12 +78,7 @@ class MechanismOutcome:
             "r": None if self.r is None else rows[self.r],
             "p_hat": None if self.p_hat is None else float(self.p_hat),
             "objective": float(self.objective),
-            "dclef": {
-                "x": scatter(self.dclef.x, rows, n, 0),
-                "sigma": float(self.dclef.sigma),
-                "epsilons": scatter([float(e) for e in self.dclef.epsilons()], rows, n),
-                "distortion": float(self.dclef.distortion()),
-            },
+            "dclef": self.dclef.to_json(rows, n),
         }
 
 

@@ -137,25 +137,18 @@ def _is_json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _parse_budget_rule(rule: str) -> tuple[str, tuple[float, ...]]:
+def _parse_budget_rule(rule: str) -> tuple[float, float]:
+    """The bounds of a ``scaled:lo,hi`` budget rule, the only form there is."""
     name, _, arg = rule.partition(":")
-    if name == "scaled":
-        try:
-            lo, hi = (float(part) for part in arg.split(","))
-        except ValueError as exc:
-            raise ValidationError(f"budget rule {rule!r} needs 'scaled:lo,hi'") from exc
-        if not 0 < lo <= hi:
-            raise ValidationError("scaled budget rule needs 0 < lo <= hi")
-        return name, (lo, hi)
-    if name == "fixed":
-        try:
-            value = float(arg)
-        except ValueError as exc:
-            raise ValidationError(f"budget rule {rule!r} needs 'fixed:value'") from exc
-        if value <= 0:
-            raise ValidationError("fixed budget must be positive")
-        return name, (value,)
-    raise ValidationError(f"unknown budget rule {rule!r}")
+    if name != "scaled":
+        raise ValidationError(f"unknown budget rule {rule!r}")
+    try:
+        lo, hi = (float(part) for part in arg.split(","))
+    except ValueError as exc:
+        raise ValidationError(f"budget rule {rule!r} needs 'scaled:lo,hi'") from exc
+    if not 0 < lo <= hi:
+        raise ValidationError("scaled budget rule needs 0 < lo <= hi")
+    return lo, hi
 
 
 def _draw_weights(distribution: str, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -179,10 +172,7 @@ def _draw_costs(distribution: str, n: int, rng: np.random.Generator) -> np.ndarr
 def _draw_budget(
     config: SweepConfig, weights: np.ndarray, costs: np.ndarray, rng: np.random.Generator
 ) -> float:
-    name, args = _parse_budget_rule(config.budget_rule)
-    if name == "fixed":
-        return args[0]
-    lo, hi = args
+    lo, hi = _parse_budget_rule(config.budget_rule)
     wabs = np.abs(weights)
     total = float(wabs.sum())
     # largest tight payment any single individual would need
@@ -246,7 +236,7 @@ _RATIONAL_FACTORS = (
 )
 
 
-def misreport_grid(costs, i: int, rational: bool = False) -> tuple:
+def misreport_grid(costs, i: int) -> tuple:
     """Candidate misreports for individual ``i``.
 
     A multiplicative grid of at least 21 points around the true cost, plus,
@@ -254,9 +244,11 @@ def misreport_grid(costs, i: int, rational: bool = False) -> tuple:
     above it, so every sort position reachable by a unilateral deviation is
     exercised. A zero true cost gets a grid up to ten times the largest cost
     instead: 21 even steps from 0 in float mode, 0 and the rational factors
-    in rational mode. Exact points (ints and `Fraction`) are sorted by exact
-    integer keys, which order them as their values do.
+    in rational mode. The mode is rational when every cost is a `Fraction`;
+    its points, all `Fraction`, are sorted by exact integer keys, which order
+    them as their values do.
     """
+    rational = all(isinstance(c, Fraction) for c in costs)
     factors, eps = (_RATIONAL_FACTORS, Fraction(1, 10**6)) if rational else (_FLOAT_FACTORS, 1e-6)
     true_cost = costs[i]
     if true_cost > 0:
@@ -272,7 +264,7 @@ def misreport_grid(costs, i: int, rational: bool = False) -> tuple:
         if j != i:
             points.update((c, c * below, c * above))
     grid = [z for z in points if z >= 0]
-    if rational and all(isinstance(z, (Fraction, int)) for z in grid):
+    if rational:
         # each point's numerator over one common denominator
         common = math.lcm(*(z.denominator for z in grid))
         grid.sort(key=lambda z: z.numerator * (common // z.denominator))
@@ -508,7 +500,7 @@ def _witness(prop: str, config: SweepConfig, index: int, instance, **extra) -> d
         "property": prop,
         "rng_seed": config.rng_seed,
         "instance_index": index,
-        "instance": instance.to_float().to_json(),
+        "instance": instance.to_json(),
     }
     out.update({key: _finite_or_repr(value) for key, value in extra.items()})
     return out
@@ -548,7 +540,7 @@ def _truthfulness_record(config: SweepConfig, index: int, mutation: str | None) 
         honest_utility = outcome.payments[i] - true_cost * eps[i]
         bound = honest_utility + gain_slack
         deviate = deviator_kernel(instance, i, mutation)
-        for z in misreport_grid(instance.unit_costs, i, rational):
+        for z in misreport_grid(instance.unit_costs, i):
             dev_utility = deviate(z, true_cost)
             # a NaN utility fails the check: only a proven "no gain" passes
             if not dev_utility <= bound:

@@ -101,6 +101,14 @@ class TestRun:
         assert err["error"] == "ValidationError"
         assert "too large for a double" in err["message"]
 
+    def test_undecodable_file_exit_1(self, runner, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff{}")
+        result = runner.invoke(main, ["run", str(path)])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert json.loads(result.stderr)["error"] == "ValidationError"
+
     def test_empty_after_filter_exit_2(self, runner, instance_file):
         path = instance_file(
             {"weights": [1, 1], "unit_costs": [50, 50], "budget": 1, "interval": {"min": 0, "max": 1}},
@@ -143,6 +151,41 @@ class TestRun:
         )
         result = runner.invoke(main, ["run", str(path), "--database"])
         assert result.exit_code == 1
+
+    def test_negative_seed_with_database_exit_1(self, runner, hardness_path):
+        result = runner.invoke(main, ["run", str(hardness_path), "--database", "--seed", "-1"])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert json.loads(result.stderr) == {
+            "error": "ValidationError", "message": "seed must be nonnegative"
+        }
+        # without --database the seed is never used
+        plain = runner.invoke(main, ["run", str(hardness_path), "--seed", "-1"])
+        assert plain.exit_code == 0
+        assert plain.stdout == runner.invoke(main, ["run", str(hardness_path)]).stdout
+
+    @pytest.mark.parametrize("arithmetic", ["float", "rational"])
+    def test_dclef_block_is_the_dclef_serializer(self, runner, instance_file, arithmetic):
+        from privauction.instances import load_instance, prepare
+        from privauction.mechanism import fair_inner_product
+
+        # unsorted costs, and row 2 is unaffordable
+        document = {
+            "weights": [1, 3, 5, 2, 1],
+            "unit_costs": [2, 0.5, 50, 1, 0.25],
+            "budget": 1.5,
+            "interval": {"min": 0, "max": 1},
+        }
+        path = instance_file(document)
+        result = runner.invoke(main, ["run", str(path), "--arithmetic", arithmetic])
+        assert result.exit_code == 0, result.output
+        instance = load_instance(path)
+        if arithmetic == "rational":
+            instance = instance.to_rational()
+        canonical, rows, removed = prepare(instance)
+        assert removed == [2] and list(rows) != sorted(rows)
+        outcome = fair_inner_product(canonical, identity=rows)
+        assert json.loads(result.output)["dclef"] == outcome.dclef.to_json(rows, instance.n)
 
     def test_rational_mode_runs(self, runner, hardness_path):
         result = runner.invoke(main, ["run", str(hardness_path), "--arithmetic", "rational"])
@@ -210,6 +253,16 @@ class TestVerify:
         cfg.write_text(json.dumps({"weight_distribution": "cauchy"}))
         result = runner.invoke(main, ["verify", str(cfg)])
         assert result.exit_code == 1
+
+    def test_fixed_budget_rule_exit_1(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"budget_rule": "fixed:1", "instance_count": 2}))
+        result = runner.invoke(main, ["verify", str(cfg)])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert json.loads(result.stderr) == {
+            "error": "ValidationError", "message": "unknown budget rule 'fixed:1'"
+        }
 
     @pytest.mark.parametrize(
         "config",

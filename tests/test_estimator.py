@@ -117,6 +117,13 @@ class TestEvaluate:
         b = evaluate(lef, (0.5,), np.random.default_rng(9))
         assert a == b
 
+    def test_negative_seed_rejected(self):
+        inst = make_instance([1, 1], [1, 1], 1, UNIT)
+        for estimator in (Lef(inst, (1.0, 0.0), 1.0), Dclef(inst, (1, 0))):
+            for seed in (-1, np.int64(-5)):
+                with pytest.raises(ValidationError, match="seed must be nonnegative"):
+                    evaluate(estimator, (0.5, 0.5), seed)
+
     def test_inverse_cdf_symmetry(self):
         assert laplace_inverse_cdf(0.5, 2.0) == 0.0
         assert laplace_inverse_cdf(0.25, 1.0) == -laplace_inverse_cdf(0.75, 1.0)
@@ -624,6 +631,42 @@ class TestCorollaryConstruction:
             )
 
 
+class TestEstimatorInputs:
+    @pytest.mark.parametrize("flag", [0.5, 1.7, "1", math.nan, None])
+    def test_dclef_rejects_non_binary_flags(self, flag):
+        inst = make_instance([1, 1, 1], [1, 1, 1], 1, UNIT)
+        with pytest.raises(ValidationError, match="not binary at index 1"):
+            Dclef(inst, (0, flag, 1))
+
+    @pytest.mark.parametrize("one", [True, 1, 1.0, Fraction(1), np.int64(1)])
+    def test_dclef_accepts_binary_values(self, one):
+        inst = make_instance([1, 1], [1, 1], 1, UNIT)
+        d = Dclef(inst, (one, False))
+        assert d.x == (1, 0)
+        assert all(type(xi) is int for xi in d.x)
+
+    @pytest.mark.parametrize(
+        "sigma, message",
+        [
+            (math.nan, "noise scale is not finite"),
+            (math.inf, "noise scale is not finite"),
+            ("1", "noise scale is not a number"),
+            (None, "noise scale is not a number"),
+            (-1.0, "noise scale must be nonnegative"),
+        ],
+    )
+    def test_lef_rejects_bad_sigma(self, sigma, message):
+        inst = make_instance([1, 1], [1, 1], 1, UNIT)
+        with pytest.raises(ValidationError, match=message):
+            Lef(inst, (1.0, 0.0), sigma)
+
+    @pytest.mark.parametrize("xi", ["0.5", None, [0.5]])
+    def test_lef_rejects_non_numeric_x(self, xi):
+        inst = make_instance([1, 1], [1, 1], 1, UNIT)
+        with pytest.raises(ValidationError, match="not a number at index 0"):
+            Lef(inst, (xi, 1.0), 1.0)
+
+
 class TestDclefSerialization:
     def test_json_shape(self):
         inst = make_instance([1, 1], [1, 2], 1, UNIT)
@@ -639,3 +682,10 @@ class TestDclefSerialization:
         # degenerate estimator is representable, never sampled
         d = Dclef(inst, (1,))
         assert d.to_json()["epsilons"] == ["inf"]
+
+    def test_rows_scatter_and_fill_zero(self):
+        inst = make_instance([1, 2, 1], [1, 1, 1], 1, UNIT)
+        data = Dclef(inst, (1, 0, 1)).to_json((4, 0, 2), 5)
+        assert data["x"] == [0, 0, 1, 0, 1]
+        assert data["epsilons"] == [0.0, 0.0, 0.5, 0.0, 0.5]
+        assert data["sigma"] == 2.0

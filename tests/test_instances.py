@@ -106,34 +106,25 @@ class TestAuctionInstance:
             make_instance([1, 2], [1, 1], 1).subset([])
 
     @pytest.mark.parametrize(
-        "costs",
+        "costs, message",
         [
-            (1.0,),
-            (1.0, 2.0, 3.0, 4.0),
-            (1.0, 2.0, -0.5),
-            (1.0, -1, Fraction(-1, 3)),
-            (math.nan, 1.0, 1.0),
-            (1.0, math.inf, 1.0),
-            (1.0, 1.0, "2"),
-            (None, 1.0, 1.0),
-            (True, 1.0, 1.0),
+            ((1.0,), "length mismatch: 3 weights vs 1 unit costs"),
+            ((1.0, 2.0, 3.0, 4.0), "length mismatch: 3 weights vs 4 unit costs"),
+            ((1.0, 2.0, -0.5), "negative unit cost at index 2"),
+            ((1.0, -1, Fraction(-1, 3)), "negative unit cost at index 1"),
+            ((math.nan, 1.0, 1.0), "unit cost at index 0 is not finite: nan"),
+            ((1.0, math.inf, 1.0), "unit cost at index 1 is not finite: inf"),
+            ((1.0, 1.0, "2"), "unit cost at index 2 is not a number: '2'"),
+            ((None, 1.0, 1.0), "unit cost at index 0 is not a number: None"),
+            ((True, 1.0, 1.0), "unit cost at index 0 is not a number: True"),
         ],
     )
-    def test_with_unit_costs_errors_match_constructor(self, costs):
+    def test_unit_cost_errors(self, costs, message):
         inst = make_instance([1, -2, 3], [1, 1, 1], 1)
-        with pytest.raises(ValidationError) as expected:
+        with pytest.raises(ValidationError) as raised:
             AuctionInstance(inst.weights, costs, inst.budget, inst.interval)
-        with pytest.raises(ValidationError) as replaced:
-            inst.with_unit_costs(costs)
-        assert type(replaced.value) is type(expected.value)
-        assert str(replaced.value) == str(expected.value)
-
-    @pytest.mark.parametrize("costs", [(0, 2.5, 1), (Fraction(1, 3), 0.0, 7)])
-    def test_with_unit_costs_equals_constructor(self, costs):
-        inst = make_instance([1, -2, 3], [1, 1, 1], 1)
-        replaced = inst.with_unit_costs(list(costs))
-        assert replaced == AuctionInstance(inst.weights, costs, inst.budget, inst.interval)
-        assert replaced.unit_costs == costs and replaced.weights is inst.weights
+        assert type(raised.value) is ValidationError
+        assert str(raised.value) == message
 
 
 class TestCanonicalize:
@@ -512,4 +503,4 @@ class TestDatabase:
         rational = inst.to_rational()
         assert rational.weights == (Fraction(1), Fraction(-2))
         assert rational.total_weight == Fraction(3)
-        assert rational.to_float() == inst
+        assert rational.to_json() == inst.to_json()

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -353,7 +354,9 @@ class TestMutations:
         deviator = 2  # cost 1.5, unselected, utility 0 honestly
         reported = list(inst.unit_costs)
         reported[deviator] = 0.9
-        deviated, order = canonicalize(inst.with_unit_costs(reported))
+        deviated, order = canonicalize(
+            AuctionInstance(inst.weights, reported, inst.budget, inst.interval)
+        )
         out = uncapped(deviated)
         pos = order.index(deviator)
         utility = out.payments[pos] - 1.5 * out.dclef.epsilons()[pos]
@@ -366,6 +369,14 @@ class TestMutations:
         assert out.k == 3
         eps = out.dclef.epsilons()
         assert math.isinf(eps[0])
+
+    def test_full_selection_serializes_as_standard_json(self):
+        inst = prepared([1, 1, 1], [0.1, 0.1, 0.1], 50)
+        out = mechanism_under("k-include-last")(inst)
+        assert out.selected == (0, 1, 2)
+        data = out.to_json()
+        json.dumps(data, allow_nan=False)
+        assert data["dclef"]["epsilons"] == ["inf"] * 3
 
 
 class TestOutcomeJson:

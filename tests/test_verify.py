@@ -75,6 +75,8 @@ class TestSweepConfig:
             SweepConfig(weight_distribution="cauchy")
         with pytest.raises(ValidationError):
             SweepConfig(budget_rule="nope")
+        with pytest.raises(ValidationError, match="unknown budget rule 'fixed:1'"):
+            SweepConfig(budget_rule="fixed:1")
         with pytest.raises(ValidationError):
             SweepConfig(arithmetic_mode="rational")  # needs integer grids
 
@@ -144,7 +146,7 @@ class TestMisreportGrid:
 
     def test_rational_grid_exact(self):
         costs = (Fraction(1), Fraction(2))
-        grid = misreport_grid(costs, 0, rational=True)
+        grid = misreport_grid(costs, 0)
         assert all(isinstance(z, Fraction) for z in grid)
         assert Fraction(2) in grid
         assert len(grid) >= 21
@@ -165,10 +167,10 @@ class TestMisreportGrid:
         factors = "1/10 1/5 3/10 2/5 1/2 3/5 7/10 4/5 9/10 1 5/4 3/2 7/4 2 5/2 3 4 5 6 8 10"
         doubled = [2 * Fraction(f) for f in factors.split()]
         others = [Fraction(999_999, 10**6), Fraction(1), Fraction(1_000_001, 10**6)]
-        grid = misreport_grid((Fraction(2), Fraction(1)), 0, rational=True)
+        grid = misreport_grid((Fraction(2), Fraction(1)), 0)
         assert grid == tuple(sorted(set(doubled + others)))
         # all costs zero: the factors themselves, plus 0
-        grid = misreport_grid((Fraction(0), Fraction(0)), 1, rational=True)
+        grid = misreport_grid((Fraction(0), Fraction(0)), 1)
         assert grid == (0, *(Fraction(f) for f in factors.split()))
         assert all(type(z) is Fraction for z in grid)
 
@@ -329,17 +331,20 @@ class TestDeviatorKernel:
     @given(case=deviation_instances())
     @settings(max_examples=60, deadline=None)
     def test_equals_pipeline_on_every_grid_report(self, mutation, case):
-        instance, rational = case
+        instance, _ = case
         mechanism = mechanism_under(mutation)
         for i in range(instance.n):
             true_cost = instance.unit_costs[i]
             kernel = deviator_kernel(instance, i, mutation)
-            for z in misreport_grid(instance.unit_costs, i, rational):
+            for z in misreport_grid(instance.unit_costs, i):
                 reported = list(instance.unit_costs)
                 reported[i] = z
                 expected = _outcome(
                     lambda: _deviation_utility(
-                        instance.with_unit_costs(reported), i, true_cost, mechanism
+                        AuctionInstance(
+                            instance.weights, reported, instance.budget, instance.interval
+                        ),
+                        i, true_cost, mechanism,
                     )
                 )
                 assert _outcome(lambda: kernel(z, true_cost)) == expected, (i, z)
@@ -353,13 +358,16 @@ class TestDeviatorKernel:
             true_cost = instance.unit_costs[i]
             kernel = deviator_kernel(instance, i, mutation)
             # int reports take the exact path too; a float report takes the other one
-            grid = misreport_grid(instance.unit_costs, i, rational=True)
+            grid = misreport_grid(instance.unit_costs, i)
             for z in (*grid, 0, 1, 3, 0.5):
                 reported = list(instance.unit_costs)
                 reported[i] = z
                 expected = _outcome(
                     lambda: _deviation_utility(
-                        instance.with_unit_costs(reported), i, true_cost, mechanism
+                        AuctionInstance(
+                            instance.weights, reported, instance.budget, instance.interval
+                        ),
+                        i, true_cost, mechanism,
                     )
                 )
                 assert _outcome(lambda: kernel(z, true_cost)) == expected, (i, z)
@@ -370,7 +378,7 @@ class TestDeviatorKernel:
         kernel = deviator_kernel(inst, 0)
         mechanism = mechanism_under(None)
         for z, filtered in ((2.0, False), (math.nextafter(2.0, math.inf), True)):
-            reported = inst.with_unit_costs((z, 0.5, 0.5))
+            reported = AuctionInstance(inst.weights, (z, 0.5, 0.5), inst.budget, UNIT)
             assert (0 in prepare(reported)[2]) is filtered
             expected = _deviation_utility(reported, 0, 0.5, mechanism)
             assert _bits(kernel(z, 0.5)) == _bits(expected)
@@ -382,7 +390,7 @@ class TestDeviatorKernel:
         kernel = deviator_kernel(inst, 0)
         for z in (0.0, 0.5, 1.0):
             with pytest.raises(EmptyInstance):
-                prepare(inst.with_unit_costs((z, 9.0)))
+                prepare(AuctionInstance(inst.weights, (z, 9.0), inst.budget, UNIT))
             assert kernel(z, 0.5) == 0
 
 

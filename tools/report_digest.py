@@ -21,7 +21,12 @@ whether the change kept its reports byte-identical. The families:
 - ``oracle``: ``brute_force_opt``'s vector, objective and payments on every
   weight and cost distribution of ``generate_instance`` at n 2-20, on
   rational integer-grid instances, and on raw (uncanonicalized) instances
-  with unsorted costs, cost ties or uniform weights.
+  with unsorted costs, cost ties or uniform weights;
+- ``commands``: exit code, stdout and stderr of ``fractional`` (JSON and
+  CSV), ``oracle --output csv`` and ``run --compare-opt --output csv`` on the
+  ``cli`` corpus in float and rational mode, and of ``weights`` on a seeded
+  feature CSV: every method, ``--costs``/``--budget``, ``--query-csv``, CSV
+  output, and malformed queries, options and feature files.
 
 The whole run takes about a minute on a 2-core machine; ``--family`` picks
 some families only.
@@ -32,7 +37,7 @@ import hashlib
 import json
 import os
 import tempfile
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from io import StringIO
 
 import numpy as np
@@ -168,32 +173,106 @@ def _invoke(args: list[str]) -> bytes:
     return json.dumps([code, out.getvalue(), err.getvalue()]).encode() + b"\n"
 
 
-def cli():
+@contextmanager
+def _scratch_directory():
+    """Run inside a fresh temporary directory, so file names in error messages stay relative."""
     start = os.getcwd()
     with tempfile.TemporaryDirectory() as directory:
-        os.chdir(directory)  # file names in error messages stay relative
+        os.chdir(directory)
         try:
-            for index, document in enumerate(_instance_corpus(60)):
-                name = f"instance-{index}.json"
-                with open(name, "w") as handle:
-                    json.dump(document, handle)
-                for mode in ("float", "rational"):
-                    yield _invoke(["run", name, "--arithmetic", mode])
-                    yield _invoke(["run", name, "--arithmetic", mode, "--compare-opt",
-                                   "--database", "--seed", str(index)])
-                    yield _invoke(["run", name, "--arithmetic", mode, "--output", "csv"])
-                    yield _invoke(["oracle", name, "--arithmetic", mode])
-            with open("sweep.json", "w") as handle:
-                json.dump({"n_range": [2, 7], "instance_count": 15, **INTEGER_GRID}, handle)
-            for mode in ("float", "rational"):
-                for seed in SEEDS:
-                    for mutation in MUTATION_SPECS:
-                        args = ["verify", "sweep.json", "--arithmetic", mode, "--seed", str(seed)]
-                        yield _invoke(args + (["--mutate", mutation] if mutation else []))
-                    yield _invoke(["verify", "sweep.json", "--arithmetic", mode, "--seed",
-                                   str(seed), "--output", "csv"])
+            yield
         finally:
             os.chdir(start)
+
+
+def _write_corpus() -> list[str]:
+    names = []
+    for index, document in enumerate(_instance_corpus(60)):
+        names.append(f"instance-{index}.json")
+        with open(names[-1], "w") as handle:
+            json.dump(document, handle)
+    return names
+
+
+def cli():
+    with _scratch_directory():
+        for index, name in enumerate(_write_corpus()):
+            for mode in ("float", "rational"):
+                yield _invoke(["run", name, "--arithmetic", mode])
+                yield _invoke(["run", name, "--arithmetic", mode, "--compare-opt",
+                               "--database", "--seed", str(index)])
+                yield _invoke(["run", name, "--arithmetic", mode, "--output", "csv"])
+                yield _invoke(["oracle", name, "--arithmetic", mode])
+        with open("sweep.json", "w") as handle:
+            json.dump({"n_range": [2, 7], "instance_count": 15, **INTEGER_GRID}, handle)
+        for mode in ("float", "rational"):
+            for seed in SEEDS:
+                for mutation in MUTATION_SPECS:
+                    args = ["verify", "sweep.json", "--arithmetic", mode, "--seed", str(seed)]
+                    yield _invoke(args + (["--mutate", mutation] if mutation else []))
+                yield _invoke(["verify", "sweep.json", "--arithmetic", mode, "--seed",
+                               str(seed), "--output", "csv"])
+
+
+def _weights_calls():
+    """``weights`` argument lists on a seeded 12 x 3 feature file with a header."""
+    rng = np.random.default_rng(23)
+    matrix = rng.normal(size=(12, 3)).tolist()
+    files = {
+        "features.csv": [("a", "b", "c"), *matrix],
+        "ids.csv": [(f"r{i}", *row) for i, row in enumerate(matrix)],
+        "query.csv": [(0.3, -0.2, 1.1)],
+        "ragged.csv": [(1, 2, 3), (4, 5)],
+        "text.csv": [(1, 2, 3), (4, "x", 6)],
+    }
+    for name, rows in files.items():
+        with open(name, "w") as handle:
+            handle.write("".join(",".join(map(str, row)) + "\n" for row in rows))
+    with open("binary.csv", "wb") as handle:
+        handle.write(b"\xff\xfe1,2\n")  # not UTF-8
+    query = ["--query", "0.3,-0.2,1.1"]
+    methods = [
+        ["--method", "knn", "--k", "3"],
+        ["--method", "knn", "--k", "40"],
+        ["--method", "nadaraya-watson", "--bandwidth", "1.5"],
+        ["--method", "nadaraya-watson", "--kernel", "linear"],
+        ["--method", "ridge", "--lam", "0.5"],
+        ["--method", "kernel-regression", "--lam", "0.5"],
+        ["--method", "kernel-regression", "--lam", "0.5", "--kernel", "linear"],
+        ["--method", "ridge"],
+    ]
+    costs = ",".join(repr(c) for c in rng.uniform(0.0, 2.0, 12).tolist())
+    for method in methods:
+        yield ["features.csv", *method, *query]
+        yield ["features.csv", *method, *query, "--output", "csv"]
+        yield ["features.csv", *method, *query, "--costs", costs, "--budget", "2.5",
+               "--r-min", "-1", "--r-max", "2"]
+    knn = ["--method", "knn", "--k", "3"]
+    yield ["features.csv", *knn, "--query-csv", "query.csv", "--output", "csv"]
+    yield ["ids.csv", *knn, *query, "--id-column"]
+    yield ["features.csv", *knn, "--query", "0.3,abc,1.1"]
+    yield ["features.csv", *knn, "--query", "0.3,1.1"]
+    yield ["features.csv", *knn]
+    yield ["features.csv", *knn, *query, "--query-csv", "query.csv"]
+    yield ["features.csv", *knn, *query, "--costs", costs]
+    yield ["features.csv", *knn, *query, "--costs", "1,x", "--budget", "1"]
+    yield ["features.csv", *knn, *query, "--costs", "1,2", "--budget", "1"]
+    yield ["features.csv", *knn, *query, "--costs", costs, "--budget", "-1"]
+    for name in ("ragged.csv", "text.csv", "binary.csv", "missing.csv"):
+        yield [name, *knn, *query]
+
+
+def commands():
+    with _scratch_directory():
+        for name in _write_corpus():
+            for mode in ("float", "rational"):
+                yield _invoke(["fractional", name, "--arithmetic", mode])
+                yield _invoke(["fractional", name, "--arithmetic", mode, "--output", "csv"])
+                yield _invoke(["oracle", name, "--arithmetic", mode, "--output", "csv"])
+                yield _invoke(["run", name, "--arithmetic", mode, "--compare-opt",
+                               "--output", "csv"])
+        for args in _weights_calls():
+            yield _invoke(["weights", *args])
 
 
 FAMILIES = {
@@ -202,6 +281,7 @@ FAMILIES = {
     "criterion-3": criterion_3,
     "cli": cli,
     "oracle": oracle,
+    "commands": commands,
 }
 
 
