@@ -175,6 +175,11 @@ class AuctionInstance:
     def total_weight(self) -> Number:
         return sum(self.abs_weights)
 
+    @cached_property
+    def exact(self) -> bool:
+        """Whether every weight, cost and the budget is a `Fraction`, so nothing rounds."""
+        return all(type(v) is Fraction for v in (self.budget, *self.weights, *self.unit_costs))
+
     def weight_of(self, indices) -> Number:
         """Total absolute weight of an index subset."""
         wabs = self.abs_weights

@@ -6,14 +6,14 @@ tight individually-rational payments exhaust the budget exactly. The integer
 oracle is an exact knapsack branch-and-bound (desk scale only), seeded with
 the greedy solution as a floor, that returns the lexicographically smallest
 optimal participation vector; it is the ground truth the mechanism's
-approximation guarantees are measured against. Both
-solutions are indexed by canonical position; their ``to_json`` reports them
-by input row through the row map of `instances.prepare`.
+approximation guarantees are measured against. Both solutions are indexed
+by canonical position; their ``to_json`` reports them by input row through
+the row map of `instances.prepare`. Float and `Fraction` input share every
+function here, and every check of `opt_bounds_check` is exact on the latter.
 """
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 ORACLE_LIMIT = 20
+REL_TOL = 1e-9  # relative slack of a float comparison; exact input gets none
 
 
 @dataclass(frozen=True)
@@ -129,18 +130,18 @@ class KktCertificate:
     def max_violation(self) -> float:
         worst = 0.0
         if self.lagrange_budget < 0:
-            worst = max(worst, -float(self.lagrange_budget))
+            worst = max(worst, -self.lagrange_budget)
         for m in self.upper_multipliers + self.lower_multipliers:
             if m < 0:
-                worst = max(worst, -float(m))
+                worst = max(worst, -m)
         for g in self.stationarity:
-            worst = max(worst, abs(float(g)))
-        worst = max(worst, abs(float(self.budget_gap)))
+            worst = max(worst, abs(g))
+        worst = max(worst, abs(self.budget_gap))
         for c in self.complementary_slackness:
-            worst = max(worst, abs(float(c)))
+            worst = max(worst, abs(c))
         return worst
 
-    def satisfied(self, tol: float = 1e-9) -> bool:
+    def satisfied(self, tol: float = REL_TOL) -> bool:
         return self.max_violation <= tol
 
 
@@ -160,14 +161,14 @@ def kkt_certificate(instance: AuctionInstance, solution: FractionalSolution) -> 
     lower = tuple(
         (costs[i] - costs[ell]) * wabs[i] * lam if i > ell else wabs[i] * 0 for i in range(n)
     )
-    scale = max(1.0, max(float(w) for w in wabs))
+    scale = max(1, max(wabs))
     stationarity = tuple(
         (-wabs[i] + lam * (costs[i] + budget) * wabs[i] + upper[i] - lower[i]) / scale
         for i in range(n)
     )
     spent = sum(costs[i] * wabs[i] * x[i] for i in range(n))
     reserved = budget * sum(wabs[i] * (1 - x[i]) for i in range(n))
-    budget_scale = max(1.0, abs(float(spent)), abs(float(reserved)))
+    budget_scale = max(1, abs(spent), abs(reserved))
     budget_gap = (spent - reserved) / budget_scale
     slackness = tuple(
         v
@@ -194,13 +195,6 @@ class OracleSolution:
             "objective": float(self.objective),
             "payments": scatter([float(p) for p in self.payments], rows, n),
         }
-
-
-def _exact(instance: AuctionInstance) -> bool:
-    """Whether every weight, cost and the budget is a `Fraction`, so nothing rounds."""
-    return all(
-        type(v) is Fraction for v in (instance.budget, *instance.weights, *instance.unit_costs)
-    )
 
 
 def brute_force_opt(instance: AuctionInstance) -> OracleSolution:
@@ -274,7 +268,7 @@ def brute_force_opt(instance: AuctionInstance) -> OracleSolution:
             floor = value
     # The cost-order bound can round below the index-order sum of a leaf it
     # covers, so on rounded input a branch stays open within n ulps of W.
-    slack = zero if _exact(instance) else n * 2.0**-52 * instance.total_weight
+    slack = zero if instance.exact else n * 2.0**-52 * instance.total_weight
 
     x = [0] * n
     best_x = tuple(x)
@@ -302,7 +296,7 @@ def brute_force_opt(instance: AuctionInstance) -> OracleSolution:
         visit(0, zero, zero, 0, root)
     resid = instance.total_weight - instance.weight_of(i for i in range(n) if best_x[i])
     payments = tuple(costs[i] * wabs[i] * best_x[i] / resid for i in range(n))
-    objective = best if isinstance(best, Fraction) else float(best)
+    objective = best if instance.exact else float(best)
     return OracleSolution(best_x, objective, payments)
 
 
@@ -349,7 +343,8 @@ def opt_bounds_check(
     relaxation crossover is at least the mechanism prefix, the prefix-plus-one
     weight strictly exceeds the relaxation mass past the prefix, and the
     recomputed multiplier certificate plus tight-budget identity hold.
-    Violations are reported as failed checks, never raised.
+    Violations are reported as failed checks, never raised. Each allows a
+    slack of `REL_TOL`, or none on exact input (`AuctionInstance.exact`).
     """
     if not instance.is_canonical:
         raise NotCanonical("unit costs must be sorted; canonicalize the instance first")
@@ -358,6 +353,8 @@ def opt_bounds_check(
     oracle = brute_force_opt(instance)
     n = instance.n
     wabs = instance.abs_weights
+    tol = 0 if instance.exact else REL_TOL
+    rel = 1 + tol
 
     k = outcome.k
     degenerate = all(v == 0 for v in instance.unit_costs)
@@ -372,34 +369,25 @@ def opt_bounds_check(
         frac_value = fractional.objective
         ell = fractional.ell
         cert = kkt_certificate(instance, fractional)
-        kkt_ok = cert.satisfied()
-        budget_identity_ok = abs(float(cert.budget_gap)) <= 1e-9
-        tail_mass = float(
-            sum(wabs[i] * fractional.x_star[i] for i in range(k, min(ell + 1, n)))
-        )
+        kkt_ok = cert.satisfied(tol)
+        budget_identity_ok = abs(cert.budget_gap) <= tol
+        tail_mass = sum(wabs[i] * fractional.x_star[i] for i in range(k, min(ell + 1, n)))
 
-    fractional_objective = float(frac_value)
-    opt = float(oracle.objective)
-    mech = float(outcome.objective)
-    ratio = opt / mech if mech > 0 else math.inf
-    # Rational input compares its exact objectives with no slack.
-    if _exact(instance):
-        opt_v, frac_v, mech_v, rel = oracle.objective, frac_value, outcome.objective, 1
-    else:
-        opt_v, frac_v, mech_v, rel = opt, fractional_objective, mech, 1 + 1e-9
-
+    opt, mech = oracle.objective, outcome.objective
     checks = {
-        "fractional_dominates": opt_v <= frac_v * rel,
-        "ratio_le_5": opt_v <= 5 * mech_v * rel,
+        "fractional_dominates": opt <= frac_value * rel,
+        "ratio_le_5": opt <= 5 * mech * rel,
         "ell_ge_k": ell >= k,
         "prefix_weight_bound": degenerate
-        or float(sum(wabs[i] for i in range(min(k + 1, n)))) > tail_mass,
+        or sum(wabs[i] for i in range(min(k + 1, n))) > tail_mass,
         "kkt_certificate": kkt_ok,
         "budget_identity": budget_identity_ok,
     }
     uniform = instance.has_uniform_weights
     if uniform:
-        checks["ratio_le_2_uniform"] = opt_v <= 2 * mech_v * rel
+        checks["ratio_le_2_uniform"] = opt <= 2 * mech * rel
+    opt, mech = float(opt), float(mech)  # the report's fields
+    ratio = opt / mech if mech > 0 else math.inf
     return OptBoundsReport(
-        opt, fractional_objective, mech, ratio, uniform, degenerate, ell, k, checks
+        opt, float(frac_value), mech, ratio, uniform, degenerate, ell, k, checks
     )

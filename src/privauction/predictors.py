@@ -167,8 +167,11 @@ def nadaraya_watson_weights(
     kernel: GaussianKernel | LinearKernel = GaussianKernel(),
     drop_tol: float = DROP_TOLERANCE,
 ) -> DerivedWeights:
-    """Kernel-normalized weights; positive and summing to one."""
+    """Kernel-normalized weights, positive and summing to one; a negative similarity raises."""
     similarity = kernel.against_query(features)
+    negative = np.flatnonzero(similarity < 0)
+    if negative.size:
+        raise ValidationError(f"kernel similarity is negative at index {negative[0]}")
     mass = float(np.sum(similarity))
     if mass <= 0.0:
         raise DegenerateKernelMass("kernel mass underflowed to zero at this query")

@@ -18,10 +18,11 @@ passes against the final survivor total ``W'``, that is
 costs one bisect into the others' canonical order and one O(n) pass, bit for
 bit equal to the pipeline (`_deviation_utility`, kept as the reference).
 
-Float and rational mode run the same checks. Rational mode takes exact
-factors and straddles in the misreport grid and a slack of exactly 0 in
-every comparison; float mode allows ``REL_TOL * max(1, |x|)`` on the budget
-and IR checks and ``TRUTHFUL_SLACK`` on a deviation's gain. On exact input
+Float and rational mode run the same code. Rational mode's instances are
+exact (`AuctionInstance.exact`), so the misreport grid takes exact factors
+and straddles and every comparison a slack of exactly 0; float mode allows
+``REL_TOL * max(1, |x|)`` on the budget and IR checks and
+``TRUTHFUL_SLACK`` on a deviation's gain. On exact input
 the kernel clears denominators once per deviator, so the mechanism's
 decisions compare Python ints and only the deviator's payment and privacy
 loss are divided back into `Fraction`: the mechanism's rules compare, and
@@ -29,6 +30,7 @@ their callers divide.
 """
 
 import math
+import operator
 import os
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
@@ -49,7 +51,7 @@ from .mechanism import (
     star_wins,
     topk_rate,
 )
-from .optimal import ORACLE_LIMIT, opt_bounds_check
+from .optimal import ORACLE_LIMIT, REL_TOL, opt_bounds_check
 
 __all__ = [
     "SweepConfig",
@@ -67,7 +69,6 @@ __all__ = [
 ]
 
 TRUTHFUL_SLACK = 1e-9
-REL_TOL = 1e-9
 MAX_WITNESSES = 50
 TRUTHFUL_LIMIT = 100  # largest n a truthfulness sweep takes: its work grows as n^3
 
@@ -185,7 +186,7 @@ def _draw_budget(
 
 
 def generate_instance(config: SweepConfig, index: int) -> AuctionInstance:
-    """Deterministic canonical, affordability-filtered instance for an index."""
+    """Deterministic canonical, filtered instance for an index; `Fraction`s in rational mode."""
     lo, hi = config.n_range
     for attempt in range(64):
         rng = np.random.default_rng(np.random.SeedSequence((config.rng_seed, index, attempt)))
@@ -203,7 +204,7 @@ def generate_instance(config: SweepConfig, index: int) -> AuctionInstance:
             canonical, _, _ = prepare(raw)
         except EmptyInstance:
             continue
-        return canonical
+        return canonical.to_rational() if config.arithmetic_mode == "rational" else canonical
     raise ValidationError(f"no viable instance after 64 attempts at index {index}")
 
 
@@ -390,9 +391,9 @@ def deviator_kernel(instance: AuctionInstance, i: int, mutation: str | None = No
     survivors' weight denominators and ``M`` that of the budget's and the
     other survivors' cost denominators, computed once per deviator; a report
     ``z = p/q`` (a `Fraction` or an int) further scales money by ``q``. Then
-    `decide` runs on Python ints, and only ``i``'s payment and privacy loss
-    are divided back into `Fraction`, of the same value and type as the
-    pipeline's. Any other input takes the same steps on its own values.
+    `decide` runs on Python ints, and ``i``'s payment and privacy loss divide
+    by ``M q`` into `Fraction`, the pipeline's value and type. Any other report
+    takes the same statements with ``M q = 1`` and ``/``, the pipeline's bits.
     """
     name, factor = parse_mutation(mutation)
     rules = _MUTANT_RULES.get(name, _HONEST_RULES)
@@ -411,7 +412,7 @@ def deviator_kernel(instance: AuctionInstance, i: int, mutation: str | None = No
     own_zero = w_i * 0
     first_zero = other_wabs[0] * 0 if others else own_zero
 
-    exact = all(type(v) is Fraction for v in (budget, *wabs, *costs))
+    exact = instance.exact
     if exact:
         scale_w = math.lcm(*(wabs[j].denominator for j in alive))
         scale_m = math.lcm(budget.denominator, *(c.denominator for c in other_costs))
@@ -422,20 +423,18 @@ def deviator_kernel(instance: AuctionInstance, i: int, mutation: str | None = No
         int_cap = int_budget * sum(int_wabs)  # B * (W' - |w_i|), scaled by M * E
 
     def utility(z, true_cost):
-        rational = exact and type(z) in (Fraction, int)
-        if rational:
+        if exact and type(z) in (Fraction, int):
             # money scaled by M * q and weights by E, as the docstring explains
             q = z.denominator
-            money = scale_m * q
+            money, divide = scale_m * q, Fraction
             own_w, own_cost, limit = int_w_i, z.numerator * scale_m, int_cap * q
-        else:
-            own_w, own_cost, limit = w_i, z, cap
-        if residual <= 0 or own_w * own_cost > limit:
-            return 0
-        if rational:
             ws, cs, scaled_budget = int_wabs.copy(), [c * q for c in int_costs], int_budget * q
         else:
+            money, divide = 1, operator.truediv
+            own_w, own_cost, limit = w_i, z, cap
             ws, cs, scaled_budget = other_wabs.copy(), other_costs.copy(), budget
+        if residual <= 0 or own_w * own_cost > limit:
+            return 0
         # canonical order: by (cost, input row)
         lo = bisect_left(cs, own_cost)
         pos = bisect_left(other_rows, i, lo, bisect_right(cs, own_cost, lo))
@@ -453,20 +452,16 @@ def deviator_kernel(instance: AuctionInstance, i: int, mutation: str | None = No
                 payment = zero
             elif r is None:
                 payment = budget
-            elif rational:
-                payment = Fraction(p_hat[0], p_hat[1] * money)
             else:
-                payment = p_hat[0] / p_hat[1]
+                payment = divide(p_hat[0], p_hat[1] * money)
             del ws[i_star]
             unselected = ws
         else:
             selected = pos < k
             if not selected:
                 payment = zero
-            elif rational:
-                payment = Fraction(own_w * rate[0], rate[1] * money)
             else:
-                payment = w_i * (rate[0] / rate[1])
+                payment = own_w * divide(rate[0], rate[1] * money)
             unselected = ws[k:]
         if factor is not None:
             payment = payment * factor
@@ -475,10 +470,8 @@ def deviator_kernel(instance: AuctionInstance, i: int, mutation: str | None = No
         x_i = 1 if selected else 0
         if resid == 0:
             eps = math.inf if x_i else 0.0
-        elif rational:
-            eps = Fraction(own_w * x_i, resid)
         else:
-            eps = w_i * x_i / resid
+            eps = divide(own_w * x_i, resid)
         return payment - true_cost * eps
 
     return utility
@@ -508,9 +501,6 @@ def _witness(prop: str, config: SweepConfig, index: int, instance, **extra) -> d
 
 def _truthfulness_record(config: SweepConfig, index: int, mutation: str | None) -> dict:
     instance = generate_instance(config, index)
-    rational = config.arithmetic_mode == "rational"
-    if rational:
-        instance = instance.to_rational()
     outcome = mechanism_under(mutation)(instance)
     failures = []
 
@@ -518,8 +508,8 @@ def _truthfulness_record(config: SweepConfig, index: int, mutation: str | None) 
         failures.append(_witness(prop, config, index, instance, **extra))
 
     def slack(x):
-        # exactly 0 in rational mode, never 0 * x: a loss can be math.inf
-        return 0 if rational else REL_TOL * max(1, abs(x))
+        # exactly 0 on exact input, never 0 * x: a loss can be math.inf
+        return 0 if instance.exact else REL_TOL * max(1, abs(x))
 
     total_paid, budget = sum(outcome.payments), instance.budget
     if not total_paid <= budget + slack(budget):
@@ -534,7 +524,7 @@ def _truthfulness_record(config: SweepConfig, index: int, mutation: str | None) 
                 individual=i, payment=float(pay), privacy_cost=float(cost),
             )
 
-    gain_slack = 0 if rational else TRUTHFUL_SLACK
+    gain_slack = 0 if instance.exact else TRUTHFUL_SLACK
     for i in range(instance.n):
         true_cost = instance.unit_costs[i]
         honest_utility = outcome.payments[i] - true_cost * eps[i]
@@ -555,8 +545,6 @@ def _truthfulness_record(config: SweepConfig, index: int, mutation: str | None) 
 
 def _approximation_record(config: SweepConfig, index: int) -> dict:
     instance = generate_instance(config, index)
-    if config.arithmetic_mode == "rational":
-        instance = instance.to_rational()
     outcome = fair_inner_product(instance)
     report = opt_bounds_check(instance, outcome)
     failures = [

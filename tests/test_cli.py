@@ -351,6 +351,19 @@ class TestWeights:
         )
         assert result.exit_code == 1
 
+    def test_negative_linear_similarity_exit_1(self, runner, tmp_path):
+        feats = tmp_path / "f.csv"
+        feats.write_text("1,0\n2,0\n-1,0\n")
+        result = runner.invoke(
+            main,
+            ["weights", str(feats), "--method", "nadaraya-watson", "--kernel", "linear",
+             "--query", "1,0"],
+        )
+        assert result.exit_code == 1
+        assert json.loads(result.stderr) == {
+            "error": "ValidationError", "message": "kernel similarity is negative at index 2"
+        }
+
     def test_query_csv(self, runner, tmp_path):
         feats = tmp_path / "f.csv"
         feats.write_text("0,0\n1,1\n")

@@ -127,6 +127,26 @@ class TestAuctionInstance:
         assert str(raised.value) == message
 
 
+class TestExact:
+    def test_every_field_a_fraction(self):
+        inst = AuctionInstance(
+            (Fraction(1, 3), Fraction(-2)), (Fraction(0), Fraction(5, 7)), Fraction(1, 2), UNIT
+        )
+        assert inst.exact
+        assert inst.to_rational().exact
+
+    @pytest.mark.parametrize("field", ["weight", "cost", "budget"])
+    def test_one_float_field(self, field):
+        weights = (Fraction(1, 3), 0.5 if field == "weight" else Fraction(-2))
+        costs = (Fraction(0), 0.25 if field == "cost" else Fraction(5, 7))
+        budget = 0.5 if field == "budget" else Fraction(1, 2)
+        assert not AuctionInstance(weights, costs, budget, UNIT).exact
+
+    def test_float_and_int_instances(self):
+        assert not AuctionInstance((1.0, 2.0), (0.5, 1.0), 1.0, UNIT).exact
+        assert not AuctionInstance((1, 2), (0, 1), 1, UNIT).exact
+
+
 class TestCanonicalize:
     def test_sorts_costs(self):
         inst = make_instance([1, 1, 1], [3, 1, 2], 1)

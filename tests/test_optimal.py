@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -22,6 +23,7 @@ from privauction import (
     kkt_certificate,
     opt_bounds_check,
 )
+from privauction import optimal
 from privauction.verify import SweepConfig, generate_instance, hardness_instance
 
 from conftest import UNIT, make_instance
@@ -461,6 +463,22 @@ class TestOptBoundsCheck:
         report = opt_bounds_check(inst)
         assert report.degenerate_zero_costs
         assert report.ok, report.checks
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_exact_checks_catch_a_tiny_move(self, monkeypatch, exact):
+        # Moving the fractional coordinate by 1e-15 breaks the tight budget by
+        # about that much: inside the float slack, but not exactly zero.
+        inst = prepared([3, 1, 2, 2], [1, 1, 2, 3], 2)
+        if exact:
+            inst = inst.to_rational()
+        true = fractional_optimum(inst)
+        assert 0 < true.x_star[true.ell] < 1
+        x = list(true.x_star)
+        x[true.ell] += Fraction(1, 10**15) if exact else 1e-15
+        monkeypatch.setattr(optimal, "fractional_optimum", lambda _: replace(true, x_star=tuple(x)))
+        checks = opt_bounds_check(inst).checks
+        failed = {name for name, ok in checks.items() if not ok}
+        assert failed == ({"budget_identity", "kkt_certificate"} if exact else set())
 
     def test_rational_objectives_compared_exactly(self, hardness):
         # A mechanism short of OPT / 5 by a relative 1e-12 passes the float

@@ -191,6 +191,28 @@ class TestNadarayaWatson:
             assert all(w > 0 for w in d.weights)
             assert abs(sum(d.weights) - 1.0) <= 1e-12
 
+    def test_linear_negative_mass_names_first_negative_row(self):
+        # linear similarities of this seeded 12 x 3 matrix sum to -2.02
+        fs = FeatureSet(np.random.default_rng(23).normal(size=(12, 3)), np.array([0.3, -0.2, 1.1]))
+        assert np.sum(fs.matrix @ fs.query) == pytest.approx(-2.0153, abs=1e-4)
+        with pytest.raises(ValidationError, match="negative at index 1$"):
+            nadaraya_watson_weights(fs, LinearKernel())
+
+    def test_linear_mixed_signs_with_positive_mass(self):
+        # similarities 1, 2, -1: the mass 2 is positive, but row 2 would weigh -1/2
+        fs = FeatureSet(np.array([[1.0, 0.0], [2.0, 0.0], [-1.0, 0.0]]), np.array([1.0, 0.0]))
+        with pytest.raises(ValidationError, match="negative at index 2$"):
+            nadaraya_watson_weights(fs, LinearKernel())
+
+    def test_linear_nonnegative_similarities(self):
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            fs = FeatureSet(rng.uniform(0, 1, size=(6, 2)), rng.uniform(0, 1, size=2))
+            d = nadaraya_watson_weights(fs, LinearKernel())
+            assert d.n_kept == 6
+            assert all(w > 0 for w in d.weights)
+            assert abs(sum(d.weights) - 1.0) <= 1e-12
+
 
 class TestRidge:
     def test_identity_design_recovers_query(self):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -126,6 +127,22 @@ class TestGenerateInstance:
         assert all(float(w).is_integer() for w in inst.weights)
         assert all(float(v).is_integer() for v in inst.unit_costs)
         assert float(inst.budget).is_integer()
+
+    def test_rational_mode_is_the_exact_float_draw(self):
+        cfg = SweepConfig(
+            n_range=(2, 12),
+            instance_count=40,
+            weight_distribution="integer-grid",
+            cost_distribution="integer-grid",
+            arithmetic_mode="rational",
+            rng_seed=9,
+        )
+        floats = replace(cfg, arithmetic_mode="float")
+        for idx in range(40):
+            inst = generate_instance(cfg, idx)
+            assert inst.exact
+            assert not generate_instance(floats, idx).exact
+            assert inst == generate_instance(floats, idx).to_rational()
 
 
 class TestMisreportGrid:
@@ -371,6 +388,20 @@ class TestDeviatorKernel:
                     )
                 )
                 assert _outcome(lambda: kernel(z, true_cost)) == expected, (i, z)
+
+    # payment-scale multiplies by a float factor, and k-include-last can select
+    # everyone, whose privacy loss is the float inf: neither stays exact
+    @pytest.mark.parametrize("mutation", [None, "star-nonstrict", "no-threshold-cap"])
+    @given(instance=non_dyadic_instances())
+    @settings(max_examples=40, deadline=None)
+    def test_exact_path_result_types(self, mutation, instance):
+        for i in range(instance.n):
+            kernel = deviator_kernel(instance, i, mutation)
+            for z in (*misreport_grid(instance.unit_costs, i), 0, 1, 3):
+                utility = kernel(z, instance.unit_costs[i])
+                assert type(utility) is Fraction or (type(utility) is int and utility == 0), (
+                    i, z, utility,
+                )
 
     def test_survival_threshold_matches_filter(self):
         # i = 0 survives iff z <= B (W' - |w_0|) / |w_0| = 2

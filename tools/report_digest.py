@@ -130,7 +130,7 @@ def oracle():
             instances += [generate_instance(config, index) for index in range(150)]
     config = SweepConfig(n_range=(2, 16), instance_count=150, rng_seed=19,
                          arithmetic_mode="rational", **INTEGER_GRID)
-    instances += [generate_instance(config, index).to_rational() for index in range(150)]
+    instances += [generate_instance(config, index) for index in range(150)]
     instances += _raw_instances(600)
     for instance in instances:
         solution = brute_force_opt(instance)
