@@ -205,7 +205,7 @@ def cmd_weights(features_csv, query, query_csv, method, k, kernel, bandwidth, la
     if (query is None) == (query_csv is None):
         raise ValidationError("provide exactly one of --query or --query-csv")
     if query is not None:
-        query_vector = [float(part) for part in query.split(",")]
+        query_vector = list(map(float, query.split(",")))
     else:
         _, query_matrix = load_feature_csv(query_csv, id_column=False)
         if query_matrix.shape[0] != 1:
@@ -220,7 +220,7 @@ def cmd_weights(features_csv, query, query_csv, method, k, kernel, bandwidth, la
     if (costs is None) != (budget is None):
         raise ValidationError("--costs and --budget must be given together")
     if costs is not None:
-        cost_values = [float(part) for part in costs.split(",")]
+        cost_values = list(map(float, costs.split(",")))
         instance = build_instance(derived, cost_values, budget, ValueInterval(r_min, r_max))
         report.update(instance.to_json())
     _emit(output, report, derived.csv_rows)

@@ -42,7 +42,7 @@ class KOutOfRange(PrivauctionError):
 
 
 class DegenerateKernelMass(PrivauctionError):
-    """Kernel normalizer underflowed to zero."""
+    """Kernel normalizer is zero: Gaussian similarities underflowed, or linear ones are all zero."""
 
 
 class SingularSystem(PrivauctionError):

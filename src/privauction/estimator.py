@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress, repeat
+from operator import mul, not_, sub, truediv
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -69,10 +71,20 @@ def _entries_for(estimator, database) -> tuple:
             f"database has {len(entries)} entries, estimator expects {estimator.n}"
         )
     interval = estimator.instance.interval
+    if set(map(type, entries)) == {float} and all(map(math.isfinite, entries)):
+        if interval.r_min <= min(entries) and max(entries) <= interval.r_max:
+            return entries
     for i, d in enumerate(entries):
         if not interval.contains(d):
             raise ValidationError(f"database entry at index {i} lies outside the interval")
     return entries
+
+
+def _release_mean(weights, entries, x, anchors) -> float:
+    """``sum w_i d_i x_i + sum w_i a_i (1 - x_i)``, each product and sum in index order."""
+    data_term = sum(map(mul, map(mul, weights, entries), x))
+    rest_term = sum(map(mul, map(mul, weights, anchors), map(sub, repeat(1), x)))
+    return data_term + rest_term
 
 
 @dataclass(frozen=True)
@@ -118,16 +130,13 @@ class Lef:
     def n(self) -> int:
         return self.instance.n
 
-    def _anchor(self, i: int):
-        return self.instance.interval.midpoint() if self.anchors is None else self.anchors[i]
-
     def deterministic_part(self, database) -> float:
         """Noise-free value: data term plus anchor interpolation term."""
         entries = _entries_for(self, database)
-        w = self.instance.weights
-        data_term = sum(w[i] * entries[i] * self.x[i] for i in range(self.n))
-        rest_term = sum(w[i] * self._anchor(i) * (1 - self.x[i]) for i in range(self.n))
-        return data_term + rest_term
+        anchors = self.anchors
+        if anchors is None:
+            anchors = repeat(self.instance.interval.midpoint())
+        return _release_mean(self.instance.weights, entries, self.x, anchors)
 
     def epsilons(self, strict: bool = False) -> tuple:
         """Per-individual privacy losses ``delta * |w_i| * x_i / sigma``.
@@ -197,8 +206,7 @@ class Dclef:
 
     @classmethod
     def from_selected(cls, instance: AuctionInstance, selected: Iterable[int]) -> "Dclef":
-        chosen = set(selected)
-        return cls(instance, tuple(1 if i in chosen else 0 for i in range(instance.n)))
+        return cls(instance, tuple(map(set(selected).__contains__, range(instance.n))))
 
     @property
     def n(self) -> int:
@@ -206,12 +214,11 @@ class Dclef:
 
     @cached_property
     def selected(self) -> tuple[int, ...]:
-        return tuple(i for i, xi in enumerate(self.x) if xi)
+        return tuple(compress(range(self.n), self.x))
 
     @cached_property
     def residual_weight(self):
-        wabs = self.instance.abs_weights
-        return sum(wabs[i] for i in range(self.n) if not self.x[i])
+        return sum(compress(self.instance.abs_weights, map(not_, self.x)))
 
     @cached_property
     def sigma(self):
@@ -232,7 +239,7 @@ class Dclef:
             if strict:
                 raise UnboundedPrivacyLoss("full participation leaves zero noise scale")
             return tuple(math.inf if xi else 0.0 for xi in self.x)
-        return tuple(wabs[i] * self.x[i] / resid for i in range(self.n))
+        return tuple(map(truediv, map(mul, wabs, self.x), repeat(resid)))
 
     def distortion(self):
         """Closed form ``(9/4) delta^2 (W - selected weight)^2``."""
@@ -240,13 +247,20 @@ class Dclef:
         return 9 * base * base / 4
 
     def deterministic_part(self, database) -> float:
-        return self.as_lef().deterministic_part(database)
+        """`Lef.deterministic_part` of `as_lef`: the same float products, without the `Lef`."""
+        _check_finite(self.sigma, "noise scale")  # as the Lef would
+        entries = _entries_for(self, database)
+        x = list(map(float, self.x))
+        anchors = repeat(self.instance.interval.midpoint())
+        return _release_mean(self.instance.weights, entries, x, anchors)
 
     def to_json(self, rows: Sequence[int] | None = None, n: int | None = None) -> dict:
         """Report by input row, as `MechanismOutcome.to_json`; an unbounded loss reads "inf"."""
         rows = range(self.n) if rows is None else rows
         n = len(rows) if n is None else n
-        eps = ["inf" if math.isinf(e) else float(e) for e in self.epsilons()]
+        eps = list(map(float, self.epsilons()))
+        if math.inf in eps:
+            eps = ["inf" if e == math.inf else e for e in eps]
         return {
             "x": scatter(self.x, rows, n, 0),
             "sigma": float(self.sigma),

@@ -14,10 +14,9 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress, repeat
 from pathlib import Path
 from typing import Any, Sequence
-
-import numpy as np
 
 from .errors import EmptyInstance, ParseError, ValidationError
 
@@ -53,32 +52,31 @@ def _check_finite(value: Any, what: str) -> None:
         raise ValidationError(f"{what} is not finite: {value!r}")
 
 
-def _is_zero(value):
-    return value == 0
+_NUMBER_TYPES = frozenset((int, float, Fraction))
+_EXACT_TYPES = frozenset((int, Fraction))
 
 
-def _is_negative(value):
-    return value < 0
+def _check_entries(values: tuple, what: str, all_pass, reason: str) -> None:
+    """Raise on the first entry that is not a finite number or that ``all_pass`` rejects.
 
-
-def _check_entries(values: tuple, what: str, rejects, reason: str, parsed: bool) -> None:
-    """Raise on the first entry that is not a finite number or that ``rejects``.
-
-    With ``parsed`` every entry is a float, so one numpy pass finds the first
-    offending index and only that entry is looked at again, for its message.
-    ``rejects`` must work elementwise on an array as on a number.
+    One C-level pass reads the entry types. When every entry is a float, or
+    every one an int or `Fraction` (always finite), and ``all_pass(values)``
+    clears them all at once, nothing more is done. Otherwise the entries are
+    checked one by one, each as a 1-tuple, so the error names the first
+    offending index.
     """
-    if parsed:
-        array = np.array(values, dtype=np.float64)
-        first = np.flatnonzero(~np.isfinite(array) | rejects(array))[:1].tolist()
-        entries = ((i, values[i]) for i in first)
-    else:
-        entries = enumerate(values)
-    for i, value in entries:
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        if all(map(math.isfinite, values)) and all_pass(values):
+            return
+    elif kinds and kinds <= _EXACT_TYPES:
+        if all_pass(values):
+            return
+    for i, value in enumerate(values):
         if (
             not _is_number(value)
             or (isinstance(value, float) and not math.isfinite(value))
-            or rejects(value)
+            or not all_pass((value,))
         ):
             _check_finite(value, f"{what} at index {i}")
             raise ValidationError(reason.format(i))
@@ -129,23 +127,15 @@ class AuctionInstance:
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", tuple(self.weights))
         object.__setattr__(self, "unit_costs", tuple(self.unit_costs))
-        self._validate(parsed=False)
-
-    def _validate(self, parsed: bool) -> None:
-        """Check every field; ``parsed`` marks entries as floats `_number_list` typed.
-
-        Parsed entries skip the per-entry type check and get their value
-        checks in one vectorized pass; the errors are the same either way.
-        """
         n = len(self.weights)
         if n < 1:
             raise EmptyInstance("instance has no individuals")
         m = len(self.unit_costs)
         if m != n:
             raise ValidationError(f"length mismatch: {n} weights vs {m} unit costs")
-        _check_entries(self.weights, "weight", _is_zero, "weight zero at index {}", parsed)
+        _check_entries(self.weights, "weight", lambda ws: 0 not in ws, "weight zero at index {}")
         _check_entries(
-            self.unit_costs, "unit cost", _is_negative, "negative unit cost at index {}", parsed
+            self.unit_costs, "unit cost", lambda vs: min(vs) >= 0, "negative unit cost at index {}"
         )
         _check_finite(self.budget, "budget")
         if self.budget < 0:
@@ -169,7 +159,7 @@ class AuctionInstance:
 
     @cached_property
     def abs_weights(self) -> tuple:
-        return tuple(abs(w) for w in self.weights)
+        return tuple(map(abs, self.weights))
 
     @cached_property
     def total_weight(self) -> Number:
@@ -178,12 +168,12 @@ class AuctionInstance:
     @cached_property
     def exact(self) -> bool:
         """Whether every weight, cost and the budget is a `Fraction`, so nothing rounds."""
-        return all(type(v) is Fraction for v in (self.budget, *self.weights, *self.unit_costs))
+        kinds = {*map(type, self.weights), *map(type, self.unit_costs)}
+        return type(self.budget) is Fraction and kinds == {Fraction}
 
     def weight_of(self, indices) -> Number:
         """Total absolute weight of an index subset."""
-        wabs = self.abs_weights
-        return sum(wabs[i] for i in indices)
+        return sum(map(self.abs_weights.__getitem__, indices))
 
     @property
     def is_canonical(self) -> bool:
@@ -224,22 +214,34 @@ class AuctionInstance:
             ValueInterval(Fraction(self.interval.r_min), Fraction(self.interval.r_max)),
         )
 
+    @cached_property
+    def _first_round(self) -> list:
+        """The filter's first round, who fails at the full total; see `filter_survivors`."""
+        return _round_violators(self, range(self.n), self.total_weight)
+
+    @cached_property
+    def _peel_order(self) -> list:
+        """Indices by descending ``|w_i| * (v_i + B)``, the order `filter_survivors` peels in."""
+        shifted = map(operator.add, self.unit_costs, repeat(self.budget))
+        keys = list(map(operator.mul, self.abs_weights, shifted))
+        return sorted(range(self.n), key=keys.__getitem__, reverse=True)
+
     def to_json(self) -> dict:
         return {
-            "weights": [_json_number(w) for w in self.weights],
-            "unit_costs": [_json_number(v) for v in self.unit_costs],
+            "weights": _json_list(self.weights),
+            "unit_costs": _json_list(self.unit_costs),
             "budget": _json_number(self.budget),
             "interval": self.interval.to_json(),
         }
 
 
-def _check_database(entries: tuple, interval: ValueInterval, parsed: bool) -> None:
+def _check_database(entries: tuple, interval: ValueInterval) -> None:
+    lo, hi = interval.r_min, interval.r_max
     _check_entries(
         entries,
         "database entry",
-        lambda d: (d < interval.r_min) | (d > interval.r_max),
+        lambda ds: lo <= min(ds) and max(ds) <= hi,
         "database entry at index {} lies outside the interval",
-        parsed,
     )
 
 
@@ -255,7 +257,7 @@ class Database:
     @classmethod
     def from_values(cls, values: Sequence, interval: ValueInterval) -> "Database":
         entries = tuple(values)
-        _check_database(entries, interval, parsed=False)
+        _check_database(entries, interval)
         return cls(entries)
 
     @property
@@ -263,7 +265,7 @@ class Database:
         return len(self.entries)
 
     def subset(self, indices: Sequence[int]) -> "Database":
-        return Database(tuple(self.entries[i] for i in indices))
+        return Database(tuple(map(self.entries.__getitem__, indices)))
 
 
 def canonicalize(instance: AuctionInstance) -> tuple[AuctionInstance, tuple[int, ...]]:
@@ -279,30 +281,87 @@ def canonicalize(instance: AuctionInstance) -> tuple[AuctionInstance, tuple[int,
     return instance.subset(order), order
 
 
+def _fails(w, cost, budget, total) -> bool:
+    """The filter test: is ``w * cost > budget * (total - w)``, or ``total - w <= 0``?"""
+    rest = total - w
+    return rest <= 0 or w * cost > budget * rest
+
+
+def _round_violators(instance: AuctionInstance, alive, total, exempt=None) -> list:
+    """One simultaneous round: the members of ``alive`` but ``exempt`` that fail at ``total``."""
+    budget, wabs, costs = instance.budget, instance.abs_weights, instance.unit_costs
+    return [
+        i
+        for i in alive
+        if i != exempt
+        and (total - wabs[i] <= 0 or wabs[i] * costs[i] > budget * (total - wabs[i]))
+    ]
+
+
 def filter_survivors(
     instance: AuctionInstance, exempt: int | None = None
 ) -> tuple[list[int], Number]:
-    """The filter's simultaneous rounds: survivors in input order, and their total weight.
+    """Survivors of the filter's simultaneous rounds in input order, and their total weight.
+
+    The rounds test every survivor against the survivors' total ``T``, summed
+    in input order, and remove the failures at once until nobody fails (see
+    `filter_assumption1`). Run one by one, a cascade that loses one
+    individual per round takes quadratic time. Here each exact round that
+    removes someone is followed by a peel, so a cascade takes about two
+    rounds and one sort:
+
+    - Exact round: test everyone against the exact ``T``. On a filter-stable
+      instance this first round finds nobody, and that is all the work.
+    - Peel: an individual fails about when its key ``|w_i| * (v_i + B)``
+      exceeds ``B * T``. So, from the top key down (the order is sorted once
+      per instance), individuals are removed while they fail the rounds' own
+      test against an upper bound of the current ``T``: the last exact total
+      minus every weight removed since, plus ``4 n`` ulps of that total when
+      it is a float, which covers every rounding of the sums and the
+      subtractions. An exact (int or `Fraction`) total needs no slack. Then
+      the next exact round runs on the new exact total; usually it finds
+      nobody.
+
+    Why the survivors are the rounds' own: adding a non-negative term,
+    rounded or exact, never lowers a sum, so the input-order sum of a subset
+    never exceeds that of a superset, and the test, once failed at a total,
+    fails at every smaller one. So the rounds end at the greatest set whose
+    members all pass at its own total: a survivor of one round passes at
+    every earlier round's total. A removal justified against an upper bound
+    of the current total never touches that set, and exact rounds from any
+    superset of it end at it. (Sums that mix floats with `Fraction` or huge
+    int terms are not monotone to the last rounding; there the survivors
+    still all pass at their total, but may not be the rounds' own.)
 
     The individual ``exempt`` skips its own test and so stays alive; the
-    others' tests never read its cost. See `filter_assumption1`.
+    others' tests never read its cost. The first round and the key order are
+    cached on the instance: the first round with an exemption is the one
+    without, less the exempt individual. So `verify.deviator_kernel`, which
+    filters once per deviator, pays one round per instance, and a peel per
+    deviator only where someone fails.
     """
-    budget = instance.budget
-    wabs = instance.abs_weights
-    costs = instance.unit_costs
-    alive = list(range(instance.n))
-    while True:
-        total = sum(wabs[i] for i in alive)
-        violators = [
-            i
-            for i in alive
-            if i != exempt
-            and (total - wabs[i] <= 0 or wabs[i] * costs[i] > budget * (total - wabs[i]))
-        ]
-        if not violators:
-            return alive, total
-        gone = set(violators)
-        alive = [i for i in alive if i not in gone]
+    budget, wabs, costs = instance.budget, instance.abs_weights, instance.unit_costs
+    n = instance.n
+    alive, total = list(range(n)), instance.total_weight
+    violators = [i for i in instance._first_round if i != exempt]
+    live = bytearray(b"\x01") * n
+    while violators:
+        bound = total + (4 * len(alive) * math.ulp(total) if isinstance(total, float) else 0)
+        for i in violators:
+            live[i] = 0
+            bound -= wabs[i]
+        for i in instance._peel_order:
+            if live[i] and i != exempt:
+                if not _fails(wabs[i], costs[i], budget, bound):
+                    break
+                live[i] = 0
+                bound -= wabs[i]
+        alive = list(compress(range(n), live))
+        if not alive:
+            return alive, 0
+        total = sum(map(wabs.__getitem__, alive))
+        violators = _round_violators(instance, alive, total, exempt)
+    return alive, total
 
 
 def filter_assumption1(instance: AuctionInstance) -> tuple[AuctionInstance, list[int]]:
@@ -313,6 +372,9 @@ def filter_assumption1(instance: AuctionInstance) -> tuple[AuctionInstance, list
     scale would vanish and its privacy loss would be unbounded). Removal runs
     in simultaneous rounds, re-evaluated until stable, so every survivor is
     payable against the survivor total and at least two survive.
+    `filter_survivors` computes the rounds' outcome with a sort-once peel
+    instead of running them one by one, which keeps a one-per-round cascade
+    linear; its docstring gives the monotonicity argument.
 
     Raises EmptyInstance when nobody survives. The removal set is independent
     of the input order within a round. When nobody is removed the input
@@ -323,8 +385,15 @@ def filter_assumption1(instance: AuctionInstance) -> tuple[AuctionInstance, list
         raise EmptyInstance("every individual violates the affordability condition")
     if len(alive) == instance.n:
         return instance, []
-    kept = set(alive)
-    return instance.subset(alive), [i for i in range(instance.n) if i not in kept]
+    return instance.subset(alive), _complement(alive, instance.n)
+
+
+def _complement(indices, n: int) -> list[int]:
+    """The members of ``range(n)`` not in ``indices``, ascending."""
+    keep = bytearray(b"\x01") * n
+    for i in indices:
+        keep[i] = 0
+    return list(compress(range(n), keep))
 
 
 def prepare(instance: AuctionInstance) -> tuple[AuctionInstance, tuple[int, ...], list[int]]:
@@ -338,9 +407,10 @@ def prepare(instance: AuctionInstance) -> tuple[AuctionInstance, tuple[int, ...]
     """
     filtered, removed = filter_assumption1(instance)
     canonical, order = canonicalize(filtered)
-    gone = set(removed)
-    survivors = [i for i in range(instance.n) if i not in gone]
-    return canonical, tuple(survivors[j] for j in order), removed
+    if not removed:
+        return canonical, order, removed
+    survivors = _complement(removed, instance.n)
+    return canonical, tuple(map(survivors.__getitem__, order)), removed
 
 
 def scatter(values: Sequence, rows: Sequence[int], n: int, fill=0.0) -> list:
@@ -357,6 +427,13 @@ def _json_number(value: Number) -> float | int:
     if isinstance(value, Fraction):
         return float(value)
     return value
+
+
+def _json_list(values: Sequence) -> list:
+    """``[_json_number(v) for v in values]``, in one C-level copy when no entry is a `Fraction`."""
+    if any(issubclass(kind, Fraction) for kind in set(map(type, values))):
+        return list(map(_json_number, values))
+    return list(values)
 
 
 def _require(data: dict, key: str) -> Any:
@@ -376,9 +453,10 @@ def _as_double(value, what: str) -> float:
 def _number_list(raw: Any, field: str) -> tuple:
     if not isinstance(raw, list):
         raise ParseError(f"field {field!r} must be a list of numbers")
-    for i, x in enumerate(raw):
-        if not _is_number(x):
-            raise ParseError(f"field {field!r} has a non-numeric entry at index {i}")
+    if not set(map(type, raw)) <= _NUMBER_TYPES:
+        for i, x in enumerate(raw):
+            if not _is_number(x):
+                raise ParseError(f"field {field!r} has a non-numeric entry at index {i}")
     try:
         return tuple(map(float, raw))
     except OverflowError:
@@ -411,9 +489,7 @@ def parse_instance(data: dict) -> AuctionInstance:
     if not (_is_number(lo) and _is_number(hi)):
         raise ParseError("interval bounds must be numbers")
     interval = ValueInterval(_as_double(lo, "interval minimum"), _as_double(hi, "interval maximum"))
-    instance = AuctionInstance._trusted(weights, unit_costs, budget, interval)
-    instance._validate(parsed=True)  # each entry was type-checked once, above
-    return instance
+    return AuctionInstance(weights, unit_costs, budget, interval)
 
 
 def parse_database(data: dict, instance: AuctionInstance) -> Database | None:
@@ -426,7 +502,7 @@ def parse_database(data: dict, instance: AuctionInstance) -> Database | None:
         raise ValidationError(
             f"database length {len(entries)} does not match instance size {instance.n}"
         )
-    _check_database(entries, instance.interval, parsed=True)  # entries typed once, above
+    _check_database(entries, instance.interval)
     return Database(entries)
 
 
@@ -460,7 +536,7 @@ def save_instance(instance: AuctionInstance, target, database: Database | None =
     """Write instance JSON; exact round trip for finite double values."""
     data = instance.to_json()
     if database is not None:
-        data["database"] = [_json_number(d) for d in database.entries]
+        data["database"] = _json_list(database.entries)
     text = json.dumps(data, sort_keys=True, indent=2) + "\n"
     if isinstance(target, (str, Path)):
         Path(target).write_text(text)

@@ -10,6 +10,8 @@ entries never contribute to the predictor.
 import csv
 import warnings
 from dataclasses import dataclass
+from itertools import chain
+from operator import methodcaller
 from pathlib import Path
 from typing import Sequence
 
@@ -124,7 +126,7 @@ class DerivedWeights:
     def to_json(self) -> dict:
         return {
             "method": self.method,
-            "weights": [float(w) for w in self.weights],
+            "weights": list(map(float, self.weights)),
             "kept": list(self.kept),
             "dropped": list(self.dropped),
         }
@@ -174,6 +176,8 @@ def nadaraya_watson_weights(
         raise ValidationError(f"kernel similarity is negative at index {negative[0]}")
     mass = float(np.sum(similarity))
     if mass <= 0.0:
+        if isinstance(kernel, LinearKernel):
+            raise DegenerateKernelMass("kernel mass is zero at this query")
         raise DegenerateKernelMass("kernel mass underflowed to zero at this query")
     return _drop_negligible(similarity / mass, "nadaraya-watson", drop_tol)
 
@@ -273,12 +277,41 @@ def _parse_float(cell: str) -> float | None:
     return value
 
 
+def _split_matrix(text: str) -> np.ndarray | None:
+    """The matrix of CSV text without quotes or ids, or None when the full pass must decide.
+
+    Splitting a line on commas gives the row `csv.reader` gives for text
+    without quotes. Each line is split only while its cells are converted,
+    so no table of cells is held. Empty text, a header alone, ragged rows
+    and a non-numeric cell give None.
+    """
+    lines = list(filter(None, text.splitlines()))
+    if lines and all(_parse_float(cell) is None for cell in lines[0].split(",")):
+        del lines[0]  # the header
+    if not lines:
+        return None
+    commas = lines[0].count(",")
+    if set(map(methodcaller("count", ","), lines)) != {commas}:
+        return None
+    cells = map(float, chain.from_iterable(map(methodcaller("split", ","), lines)))
+    try:
+        matrix = np.fromiter(cells, np.float64, len(lines) * (commas + 1))
+    except ValueError:
+        return None
+    return matrix.reshape(len(lines), commas + 1)
+
+
 def load_feature_csv(source, id_column: bool = False) -> tuple[list[str] | None, np.ndarray]:
     """Read a feature matrix from CSV.
 
     A first row whose cells all fail numeric parsing is treated as a header
     and skipped. When ``id_column`` is set, the first column holds row ids and
     the remaining columns the features.
+
+    Text with no ``"``, read without ``id_column``, goes through
+    `_split_matrix`, which splits each line on commas. Any other text, and
+    text that pass leaves undecided, is read row by row through `csv.reader`,
+    which names the first offending row or cell.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -287,6 +320,10 @@ def load_feature_csv(source, id_column: bool = False) -> tuple[list[str] | None,
             raise ParseError(f"cannot read {source}: {exc}") from exc
     else:
         text = source.read()
+    if '"' not in text and not id_column:
+        matrix = _split_matrix(text)
+        if matrix is not None:
+            return None, matrix
     rows = [row for row in csv.reader(text.splitlines()) if row]
     if not rows:
         raise ParseError("feature CSV is empty")
@@ -338,5 +375,5 @@ def build_instance(
         )
     if derived.n_kept == 0:
         raise EmptyInstance("every weight was dropped; no individuals remain")
-    costs = tuple(float(unit_costs[i]) for i in derived.kept)
+    costs = tuple(map(float, map(unit_costs.__getitem__, derived.kept)))
     return AuctionInstance(derived.weights, costs, budget, interval)

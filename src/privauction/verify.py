@@ -237,6 +237,47 @@ _RATIONAL_FACTORS = (
 )
 
 
+# One slot holding the last tuple of costs `_grid_parts` saw, with its parts: a
+# memo of a pure function of an immutable argument. The pair is read and
+# replaced as one tuple, so a reader never sees one costs' parts under another.
+_last_grid_parts: list = [(None, None)]
+
+
+def _grid_parts(costs) -> tuple:
+    """The parts of `misreport_grid` shared by every deviator of one instance.
+
+    Returns the factors, the straddles ``c, c (1 - eps), c (1 + eps)`` of
+    every cost in input order, and in rational mode each straddle's integer
+    sort key with the function that makes one, else None twice. A key is
+    the point's numerator over one denominator common to every point a grid
+    of these costs can hold, so keys order and identify points exactly as
+    their values do, without hashing a `Fraction`. The parts of the last
+    tuple of costs are kept, so a sweep builds them once per instance.
+    """
+    last_costs, last_parts = _last_grid_parts[0]
+    if last_costs is costs:
+        return last_parts
+    rational = all(isinstance(c, Fraction) for c in costs)
+    factors, eps = (_RATIONAL_FACTORS, Fraction(1, 10**6)) if rational else (_FLOAT_FACTORS, 1e-6)
+    below, above = 1 - eps, 1 + eps
+    straddles = [z for c in costs for z in (c, c * below, c * above)]
+    keys = key = None
+    if rational:
+        # every point is a cost times a factor, 1 - eps, 1 + eps or 1, or zero
+        common = math.lcm(*(c.denominator for c in costs)) * math.lcm(
+            eps.denominator, *(f.denominator for f in factors)
+        )
+
+        def key(z):
+            return z.numerator * (common // z.denominator)
+
+        keys = list(map(key, straddles))
+    parts = (factors, straddles, keys, key)
+    if type(costs) is tuple:
+        _last_grid_parts[0] = (costs, parts)
+    return parts
+
+
 def misreport_grid(costs, i: int) -> tuple:
     """Candidate misreports for individual ``i``.
 
@@ -246,31 +287,31 @@ def misreport_grid(costs, i: int) -> tuple:
     exercised. A zero true cost gets a grid up to ten times the largest cost
     instead: 21 even steps from 0 in float mode, 0 and the rational factors
     in rational mode. The mode is rational when every cost is a `Fraction`;
-    its points, all `Fraction`, are sorted by exact integer keys, which order
-    them as their values do.
+    its points, all `Fraction`, are deduplicated and sorted by exact integer
+    keys, which identify and order them as their values do. The others'
+    straddles are built once per tuple of costs (`_grid_parts`).
     """
-    rational = all(isinstance(c, Fraction) for c in costs)
-    factors, eps = (_RATIONAL_FACTORS, Fraction(1, 10**6)) if rational else (_FLOAT_FACTORS, 1e-6)
+    factors, straddles, keys, key = _grid_parts(costs)
     true_cost = costs[i]
     if true_cost > 0:
-        points = {true_cost * f for f in factors}
+        own = [true_cost * f for f in factors]
     else:
         top = max(costs) or 1
-        if rational:
-            points = {top * f for f in factors} | {Fraction(0)}
+        if key is not None:
+            own = [top * f for f in factors] + [Fraction(0)]
         else:
-            points = {float(z) for z in np.linspace(0.0, 10.0 * top, 21)}
-    below, above = 1 - eps, 1 + eps
-    for j, c in enumerate(costs):
-        if j != i:
-            points.update((c, c * below, c * above))
+            own = [float(z) for z in np.linspace(0.0, 10.0 * top, 21)]
+    lo, hi = 3 * i, 3 * i + 3  # i's own straddle
+    if key is not None:
+        points = dict(zip(map(key, own), own))
+        points.update(zip(keys[:lo], straddles[:lo]))
+        points.update(zip(keys[hi:], straddles[hi:]))
+        return tuple(map(points.__getitem__, sorted(filter((0).__le__, points))))
+    points = set(own)
+    points.update(straddles[:lo])
+    points.update(straddles[hi:])
     grid = [z for z in points if z >= 0]
-    if rational:
-        # each point's numerator over one common denominator
-        common = math.lcm(*(z.denominator for z in grid))
-        grid.sort(key=lambda z: z.numerator * (common // z.denominator))
-    else:
-        grid.sort()
+    grid.sort()
     return tuple(grid)
 
 

@@ -128,6 +128,32 @@ class TestEvaluate:
         assert laplace_inverse_cdf(0.5, 2.0) == 0.0
         assert laplace_inverse_cdf(0.25, 1.0) == -laplace_inverse_cdf(0.75, 1.0)
 
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.floats(-1e6, 1e6).filter(bool), st.booleans(), st.floats(-1.0, 3.0),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        exact=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_dclef_release_matches_its_lef(self, rows, exact):
+        # the Dclef sums its products directly; the bits are those of the Lef it stands for
+        from privauction import AuctionInstance, ValueInterval
+
+        weights = tuple(w for w, _, _ in rows)
+        interval = ValueInterval(-1.0, 3.0)
+        inst = AuctionInstance(weights, (1.0,) * len(rows), 1.0, interval)
+        if exact:
+            inst = inst.to_rational()
+        dclef = Dclef(inst, tuple(int(x) for _, x, _ in rows))
+        entries = tuple(d for _, _, d in rows)
+        got = dclef.deterministic_part(entries)
+        expected = dclef.as_lef().deterministic_part(entries)
+        assert repr(got) == repr(expected) and type(got) is type(expected)
+
 
 class TestEpsilons:
     def test_zero_participation_perfect_privacy(self):

@@ -20,9 +20,115 @@ from privauction import (
     prepare,
     save_instance,
 )
-from privauction.instances import scatter
+from privauction.instances import filter_survivors, parse_instance, scatter
 
 from conftest import UNIT, make_instance
+
+
+def reference_survivors(instance, exempt=None):
+    """The filter's simultaneous rounds, one by one: the reference for `filter_survivors`."""
+    budget, wabs, costs = instance.budget, instance.abs_weights, instance.unit_costs
+    alive = list(range(instance.n))
+    while True:
+        total = sum(wabs[i] for i in alive)
+        violators = [
+            i
+            for i in alive
+            if i != exempt
+            and (total - wabs[i] <= 0 or wabs[i] * costs[i] > budget * (total - wabs[i]))
+        ]
+        if not violators:
+            return alive, total
+        gone = set(violators)
+        alive = [i for i in alive if i not in gone]
+
+
+def reference_entry_error(values, what, rejects, reason):
+    """The message of the entry-by-entry check on a list of entries, or None."""
+    for i, value in enumerate(values):
+        if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
+            return f"{what} at index {i} is not a number: {value!r}"
+        if isinstance(value, float) and not math.isfinite(value):
+            return f"{what} at index {i} is not finite: {value!r}"
+        if rejects(value):
+            return reason.format(i)
+    return None
+
+
+def error_message(build):
+    try:
+        build()
+    except (ValidationError, ParseError, EmptyInstance) as exc:
+        return str(exc)
+    return None
+
+
+MIXED_ENTRIES = st.lists(
+    st.sampled_from([
+        1, 2, 0, -1, 1.5, 0.0, -0.0, -2.5, 1e-300, Fraction(1, 3), Fraction(0), Fraction(-1, 2),
+        True, False, math.nan, math.inf, -math.inf, "2", None, 10**400,
+    ]),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _cascade(n):
+    """Unit weights, budget 1: one individual leaves per round until two are left."""
+    costs = tuple(m - 0.5 for m in range(3, n + 1)) + (0.5, 1.0)
+    return AuctionInstance((1.0,) * n, costs, 1.0, UNIT)
+
+
+@st.composite
+def filter_instances(draw):
+    """Instances that stress the peel: cascades, key ties, zero costs, `Fraction`s, near-ties."""
+    kind = draw(
+        st.sampled_from(["float", "grid", "fraction", "cascade", "ties", "near", "near-after"])
+    )
+    n = draw(st.integers(1, 9))
+    if kind == "cascade":
+        k = draw(st.integers(2, 12))
+        return _cascade(k) if draw(st.booleans()) else AuctionInstance(
+            tuple(2.0**i for i in range(k)), tuple(100.0 / 4**i for i in range(k)),
+            draw(st.sampled_from([0.5, 1.0, 3.0])), UNIT,
+        )
+    if kind == "fraction":
+        weight = st.fractions(-9, 9, max_denominator=7).filter(bool)
+        weights = draw(st.lists(weight, min_size=n, max_size=n))
+        costs = draw(st.lists(st.fractions(0, 9, max_denominator=5), min_size=n, max_size=n))
+        budget = draw(st.fractions(Fraction(1, 4), 9, max_denominator=4))
+        return AuctionInstance(tuple(weights), tuple(costs), budget, UNIT).to_rational()
+    if kind == "ties":
+        # groups of equal weight and cost share one key
+        w, v = draw(st.sampled_from([1.0, 2.0, 0.5])), draw(st.sampled_from([0.0, 1.0, 4.0]))
+        extra = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(0, 9)), max_size=4))
+        weights = [w] * n + [float(a) for a, _ in extra]
+        costs = [v] * n + [float(b) for _, b in extra]
+        return make_instance(weights, costs, draw(st.sampled_from([0.25, 1.0, 2.0])))
+    if kind == "grid":
+        weights = draw(st.lists(st.integers(1, 9).map(float), min_size=n, max_size=n))
+        cost = st.sampled_from([0.0, 0.0, 1.0, 2.0, 5.0, 9.0])
+        costs = draw(st.lists(cost, min_size=n, max_size=n))
+        return make_instance(weights, costs, draw(st.sampled_from([0.25, 1.0, 3.0, 10.0])))
+    weights = draw(st.lists(
+        st.floats(1e-3, 1e3).flatmap(lambda w: st.sampled_from([w, -w])), min_size=n, max_size=n
+    ))
+    costs = draw(st.lists(st.floats(0, 10), min_size=n, max_size=n))
+    budget = draw(st.floats(1e-2, 10))
+    if kind == "near-after":
+        # the last individual leaves at once; j's threshold is then at the total without it
+        weights.append(1.0)
+        costs.append(1e300)
+    if kind.startswith("near") and n > 1:
+        # put individual j's cost within a few ulps of its threshold at the total
+        j = draw(st.integers(0, n - 1))
+        wabs = [abs(w) for w in weights[:n]]
+        rest = sum(wabs) - wabs[j]
+        cost = budget * rest / wabs[j]
+        for _ in range(draw(st.integers(0, 3))):
+            cost = math.nextafter(cost, draw(st.sampled_from([0.0, math.inf])))
+        costs[j] = max(cost, 0.0)
+    return make_instance(weights, costs, budget)
 
 
 class TestValueInterval:
@@ -250,6 +356,90 @@ class TestFilterAssumption1:
             assert out.n + len(removed) == n
         except EmptyInstance:
             pass
+
+
+class TestPeel:
+    @given(instance=filter_instances())
+    @settings(max_examples=600, deadline=None)
+    def test_matches_round_loop(self, instance):
+        for exempt in (None, *range(instance.n)):
+            alive, total = filter_survivors(instance, exempt)
+            expected_alive, expected_total = reference_survivors(instance, exempt)
+            assert alive == expected_alive
+            assert total == expected_total and type(total) is type(expected_total)
+        alive, _ = reference_survivors(instance)
+        if not alive:
+            with pytest.raises(EmptyInstance):
+                prepare(instance)
+            return
+        canonical, rows, removed = prepare(instance)
+        assert removed == [i for i in range(instance.n) if i not in alive]
+        assert rows == tuple(sorted(alive, key=lambda i: (instance.unit_costs[i], i)))
+        assert canonical.weights == tuple(instance.weights[i] for i in rows)
+
+    def test_long_cascade(self):
+        # one individual leaves per round; the round loop would run 19,998 rounds
+        n = 20_000
+        canonical, rows, removed = prepare(_cascade(n))
+        assert rows == (n - 2, n - 1)
+        assert removed == list(range(n - 2))
+        assert canonical.unit_costs == (0.5, 1.0)
+
+    def test_exempt_stays(self):
+        inst = make_instance([1, 1], [100, 1], 1)
+        assert filter_survivors(inst, exempt=0) == ([0, 1], 2.0)
+        assert filter_survivors(inst) == ([], 0)
+
+
+class TestValidationParity:
+    """The one-pass type read must keep the entry-by-entry loop's first error."""
+
+    @given(values=MIXED_ENTRIES)
+    @settings(max_examples=300, deadline=None)
+    def test_weights(self, values):
+        expected = reference_entry_error(
+            values, "weight", lambda w: w == 0, "weight zero at index {}"
+        )
+        got = error_message(lambda: AuctionInstance(values, [1.0] * len(values), 1.0, UNIT))
+        assert got == expected
+
+    @given(values=MIXED_ENTRIES)
+    @settings(max_examples=300, deadline=None)
+    def test_unit_costs(self, values):
+        expected = reference_entry_error(
+            values, "unit cost", lambda v: v < 0, "negative unit cost at index {}"
+        )
+        got = error_message(lambda: AuctionInstance([1.0] * len(values), values, 1.0, UNIT))
+        assert got == expected
+
+    @given(values=MIXED_ENTRIES)
+    @settings(max_examples=300, deadline=None)
+    def test_database(self, values):
+        expected = reference_entry_error(
+            values, "database entry", lambda d: d < 0 or d > 1,
+            "database entry at index {} lies outside the interval",
+        )
+        assert error_message(lambda: Database.from_values(values, UNIT)) == expected
+
+    @given(values=MIXED_ENTRIES.map(lambda vs: [v for v in vs if type(v) is not Fraction]))
+    @settings(max_examples=300, deadline=None)
+    def test_parsed_lists(self, values):
+        # a JSON list: the first entry that is not a number is named, then values are checked
+        document = {"weights": values, "unit_costs": [1] * len(values), "budget": 1,
+                    "interval": {"min": 0, "max": 1}}
+        bad = [i for i, v in enumerate(values) if isinstance(v, (bool, str)) or v is None]
+        if not values:
+            expected = "instance has no individuals"
+        elif bad:
+            expected = f"field 'weights' has a non-numeric entry at index {bad[0]}"
+        elif any(isinstance(v, int) and abs(v) > 1e308 for v in values):
+            big = next(i for i, v in enumerate(values) if isinstance(v, int) and abs(v) > 1e308)
+            expected = f"field 'weights' entry at index {big} is too large for a double"
+        else:
+            expected = reference_entry_error(
+                [float(v) for v in values], "weight", lambda w: w == 0, "weight zero at index {}"
+            )
+        assert error_message(lambda: parse_instance(document)) == expected
 
 
 class TestPrepare:

@@ -204,6 +204,15 @@ class TestNadarayaWatson:
         with pytest.raises(ValidationError, match="negative at index 2$"):
             nadaraya_watson_weights(fs, LinearKernel())
 
+    def test_linear_zero_mass_is_not_underflow(self):
+        # rows 1,0 and 0,1 are orthogonal to the query 0,0: the mass is exactly zero
+        fs = FeatureSet(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.0, 0.0]))
+        with pytest.raises(DegenerateKernelMass) as raised:
+            nadaraya_watson_weights(fs, LinearKernel())
+        assert str(raised.value) == "kernel mass is zero at this query"
+        with pytest.raises(DegenerateKernelMass, match="underflowed"):
+            nadaraya_watson_weights(FeatureSet(np.array([[0.0], [1.0]]), np.array([1e6])))
+
     def test_linear_nonnegative_similarities(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
@@ -413,6 +422,21 @@ class TestFeatureCsv:
     )
     def test_error_messages(self, text, message):
         assert parse_or_message(text) == message == reference_csv(text)
+
+    @pytest.mark.parametrize("id_column", [False, True])
+    def test_quoted_and_unquoted_text_agree(self, id_column):
+        # the comma split reads unquoted text as csv.reader reads its quoted twin
+        rows = [["id", "a", "b"], ["r0", "1.5", " 2"], [], ["r1", "-0", "1e3"], ["r 2", "nan", "3"]]
+        if not id_column:
+            rows = [row[1:] for row in rows]
+        plain = "\n".join(",".join(row) for row in rows) + "\n"
+        quoted = "\n".join(",".join(f'"{cell}"' for cell in row) for row in rows) + "\n"
+        assert '"' not in plain
+        ids, matrix = load_feature_csv(io.StringIO(plain), id_column=id_column)
+        quoted_ids, quoted_matrix = load_feature_csv(io.StringIO(quoted), id_column=id_column)
+        assert ids == quoted_ids
+        assert matrix.tobytes() == quoted_matrix.tobytes()
+        assert matrix.shape == (3, 2)
 
     def test_float_spellings(self):
         _, matrix = load_feature_csv(io.StringIO(" 1.5 ,1_0,nan\ninf,-0,-inf\n"))

@@ -35,6 +35,36 @@ from privauction.verify import (
 from conftest import UNIT
 
 
+def reference_misreport_grid(costs, i):
+    """The grid built point by point in a set, the reference for `misreport_grid`."""
+    rational = all(isinstance(c, Fraction) for c in costs)
+    factors, eps = (
+        (verify._RATIONAL_FACTORS, Fraction(1, 10**6))
+        if rational
+        else (verify._FLOAT_FACTORS, 1e-6)
+    )
+    true_cost = costs[i]
+    if true_cost > 0:
+        points = {true_cost * f for f in factors}
+    else:
+        top = max(costs) or 1
+        if rational:
+            points = {top * f for f in factors} | {Fraction(0)}
+        else:
+            points = {float(z) for z in np.linspace(0.0, 10.0 * top, 21)}
+    below, above = 1 - eps, 1 + eps
+    for j, c in enumerate(costs):
+        if j != i:
+            points.update((c, c * below, c * above))
+    grid = [z for z in points if z >= 0]
+    if rational:
+        common = math.lcm(*(z.denominator for z in grid))
+        grid.sort(key=lambda z: z.numerator * (common // z.denominator))
+    else:
+        grid.sort()
+    return tuple(grid)
+
+
 class TestHardnessInstance:
     def test_reference_point(self):
         inst = hardness_instance(1.0, 1.0)
@@ -190,6 +220,32 @@ class TestMisreportGrid:
         grid = misreport_grid((Fraction(0), Fraction(0)), 1)
         assert grid == (0, *(Fraction(f) for f in factors.split()))
         assert all(type(z) is Fraction for z in grid)
+
+
+    @pytest.mark.parametrize(
+        "weights, costs, mode",
+        [(w, c, "float") for w in verify.WEIGHT_DISTRIBUTIONS for c in verify.COST_DISTRIBUTIONS]
+        + [("integer-grid", "integer-grid", "rational")],
+    )
+    def test_matches_reference(self, weights, costs, mode):
+        config = SweepConfig(n_range=(2, 12), instance_count=60, rng_seed=5, arithmetic_mode=mode,
+                             weight_distribution=weights, cost_distribution=costs)
+        for index in range(60):
+            unit_costs = generate_instance(config, index).unit_costs
+            for i in range(len(unit_costs)):
+                got = misreport_grid(unit_costs, i)
+                expected = reference_misreport_grid(unit_costs, i)
+                # element for element, with each point's type and its sign of zero
+                assert list(map(repr, got)) == list(map(repr, expected))
+
+    @pytest.mark.parametrize(
+        "costs", [(0.0, -0.0, 1.0), (-0.0, 0.0, 2.0), (-0.0, -0.0), [0.5, 0.0, -0.0]]
+    )
+    def test_signed_zeros_match_reference(self, costs):
+        for i in range(len(costs)):
+            assert list(map(repr, misreport_grid(costs, i))) == list(
+                map(repr, reference_misreport_grid(costs, i))
+            )
 
 
 class TestTruthfulnessSweep:

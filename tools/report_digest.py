@@ -26,13 +26,22 @@ whether the change kept its reports byte-identical. The families:
   CSV), ``oracle --output csv`` and ``run --compare-opt --output csv`` on the
   ``cli`` corpus in float and rational mode, and of ``weights`` on a seeded
   feature CSV: every method, ``--costs``/``--budget``, ``--query-csv``, CSV
-  output, and malformed queries, options and feature files.
+  output, and malformed queries, options and feature files;
+- ``prepare``: ``instances.prepare`` (survivors, canonical order, removed
+  rows) and ``filter_survivors`` under every exemption, on the raw draws of
+  every ``generate_instance`` weight/cost mix at several budget scales, on
+  their `Fraction` views, on filter cascades, on key ties and zero costs, and
+  on 5,000-row instances whose budgets filter a few percent;
+- ``csv``: ``predictors.load_feature_csv`` (ids and matrix bytes, or the
+  error message) on unquoted and quoted corpora: headers, id columns, blank
+  lines, float spellings, ragged rows, non-numeric cells and empty files.
 
 The whole run takes about a minute on a 2-core machine; ``--family`` picks
 some families only.
 """
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -42,8 +51,11 @@ from io import StringIO
 
 import numpy as np
 
-from privauction import AuctionInstance, ValueInterval, brute_force_opt, verify
+from privauction import AuctionInstance, EmptyInstance, ValueInterval, brute_force_opt, verify
 from privauction.cli import main
+from privauction.errors import ParseError
+from privauction.instances import filter_survivors, prepare
+from privauction.predictors import load_feature_csv
 from privauction.verify import (
     COST_DISTRIBUTIONS,
     WEIGHT_DISTRIBUTIONS,
@@ -275,6 +287,109 @@ def commands():
             yield _invoke(["weights", *args])
 
 
+def _prepared(instance, exemptions: bool) -> bytes:
+    try:
+        canonical, rows, removed = prepare(instance)
+        out = repr((rows, removed, canonical.weights, canonical.unit_costs))
+    except EmptyInstance as exc:
+        out = repr(str(exc))
+    if exemptions:
+        out += repr([filter_survivors(instance, exempt) for exempt in range(instance.n)])
+    return out.encode() + b"\n"
+
+
+def _filter_corpus():
+    """Raw instances: sweep draws at several budget scales, cascades, ties, large filtering ones."""
+    unit = ValueInterval(0.0, 1.0)
+    for weights in WEIGHT_DISTRIBUTIONS:
+        for costs in COST_DISTRIBUTIONS:
+            config = SweepConfig(n_range=(2, 20), rng_seed=29, weight_distribution=weights,
+                                 cost_distribution=costs)
+            for index in range(60):
+                rng = np.random.default_rng(np.random.SeedSequence((29, index, 0)))
+                n = int(rng.integers(2, 21))
+                w = verify._draw_weights(weights, n, rng)
+                v = verify._draw_costs(costs, n, rng)
+                budget = verify._draw_budget(config, w, v, rng)
+                for scale in (1.0, 0.5, 0.2, 0.05):
+                    raw = AuctionInstance(
+                        tuple(w.tolist()), tuple(v.tolist()), budget * scale, unit
+                    )
+                    yield raw
+                    if weights == costs == "integer-grid":
+                        yield raw.to_rational()
+    for n in (2, 3, 10, 200, 3000):
+        # unit weights, budget 1: one individual leaves per round until two are left
+        yield AuctionInstance((1.0,) * n, tuple(m - 0.5 for m in range(3, n + 1)) + (0.5, 1.0), 1.0,
+                              unit)
+    for n in (2, 3, 10, 200):
+        geometric = tuple(2.0**-i for i in range(n)), tuple(4.0**i for i in range(n))
+        yield AuctionInstance(*geometric, 1.0, unit)
+    rng = np.random.default_rng(31)
+    for n in (4, 9, 40):
+        for cost in (0.0, 1.0, 3.0):
+            # equal keys: equal weights and costs, beside a few others
+            weights = [2.0] * n + rng.integers(1, 5, 3).astype(float).tolist()
+            costs = [cost] * n + rng.integers(0, 9, 3).astype(float).tolist()
+            for budget in (0.1, 0.5, 1.0, 4.0):
+                yield AuctionInstance(tuple(weights), tuple(costs), budget, unit)
+    for _ in range(6):
+        # pipeline-sized: the budget sits at a high quantile of the tight payments
+        n = 5000
+        w = rng.lognormal(0.0, 1.0, n) * rng.choice([-1.0, 1.0], n)
+        v = rng.lognormal(0.0, 1.0, n)
+        wabs = np.abs(w)
+        thresholds = wabs * v / (wabs.sum() - wabs)
+        budget = float(np.quantile(thresholds, 1.0 - rng.uniform(0.02, 0.08)))
+        yield AuctionInstance(tuple(w.tolist()), tuple(v.tolist()), budget, unit)
+
+
+def prepare_family():
+    for instance in _filter_corpus():
+        yield _prepared(instance, exemptions=instance.n <= 20)
+
+
+def _csv_texts():
+    """Feature files: unquoted and quoted, with and without header and ids, and broken ones."""
+    rng = np.random.default_rng(37)
+    for rows, cols in ((1, 1), (4, 3), (60, 8)):
+        matrix = rng.normal(size=(rows, cols)).tolist()
+        cells = [[repr(x) for x in row] for row in matrix]
+        header = [f"f{j}" for j in range(cols)]
+        ids = [f"r{i}" for i in range(rows)]
+        for with_header in (False, True):
+            for with_ids in (False, True):
+                table = [["id", *header] if with_ids else header] if with_header else []
+                table += [[ids[i]] + row if with_ids else row for i, row in enumerate(cells)]
+                plain = "\n".join(",".join(row) for row in table) + "\n"
+                yield plain, with_ids
+                yield plain.replace("\n", "\r\n"), with_ids
+                yield "\n\n".join(",".join(row) for row in table), with_ids
+                buffer = StringIO()
+                csv.writer(buffer, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows(table)
+                yield buffer.getvalue(), with_ids
+    spellings = [" 1.5 ", "1_0", "nan", "inf", "-inf", "-0", "+2", ".5", "1e-400", "1e400", "\t3"]
+    yield ",".join(spellings) + "\n" + ",".join(reversed(spellings)) + "\n", False
+    broken = [
+        "", "\n\n", "a,b\n", "a,b\n1,2\n3\n", "1,2\n3,x\n", "1,2\n3,\n", "x,1\n1,2\n",
+        '"a,b",c\n1,2\n', '1,"2,5"\n', '"1","2"\n"3"\n', "id\nr0\n", "1;2\n3;4\n",
+        "1, 2\n3 ,4\n", " \n1,2\n",
+    ]
+    for text in broken:
+        yield text, False
+        yield text, True
+
+
+def csv_family():
+    for text, id_column in _csv_texts():
+        try:
+            ids, matrix = load_feature_csv(StringIO(text), id_column=id_column)
+            out = repr((ids, matrix.shape)).encode() + matrix.tobytes()
+        except ParseError as exc:
+            out = repr(str(exc)).encode()
+        yield out + b"\n"
+
+
 FAMILIES = {
     "truthfulness": truthfulness,
     "approximation": approximation,
@@ -282,6 +397,8 @@ FAMILIES = {
     "cli": cli,
     "oracle": oracle,
     "commands": commands,
+    "prepare": prepare_family,
+    "csv": csv_family,
 }
 
 
