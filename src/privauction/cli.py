@@ -16,7 +16,9 @@ import click
 
 from .errors import DegenerateAllOnes, EmptyInstance, PrivauctionError, ValidationError
 from .estimator import evaluate
-from .instances import ValueInterval, _load_json, parse_database, parse_instance, prepare
+from .instances import (
+    ValueInterval, _double, _json_float, _load_json, parse_database, parse_instance, prepare
+)
 from .mechanism import fair_inner_product
 from .optimal import brute_force_opt, fractional_optimum
 from .predictors import FeatureSet, WeightSpec, build_instance, load_feature_csv
@@ -134,11 +136,11 @@ def cmd_run(instance_path, compare_opt, use_database, seed, output, arithmetic):
             report["fractional"] = fractional_optimum(canonical).to_json(rows, n0)
         except DegenerateAllOnes as exc:
             report["fractional"] = {"error": type(exc).__name__, "message": str(exc)}
-        report["ratio"] = float(oracle.objective) / float(outcome.objective)
+        report["ratio"] = _json_float(_double(oracle.objective) / _double(outcome.objective))
     if use_database:
         if database is None:
             raise ValidationError("instance file has no database block")
-        report["estimate"] = evaluate(outcome.dclef, database.subset(rows), seed)
+        report["estimate"] = _json_float(evaluate(outcome.dclef, database.subset(rows), seed))
         report["seed"] = seed
 
     dclef = report["dclef"]
@@ -236,7 +238,7 @@ def cmd_oracle(instance_path, arithmetic, output):
     report = brute_force_opt(canonical).to_json(rows, original.n)
     report["removed"] = removed
     _emit(output, report, lambda: [("index", "x", "payment")] + [
-        (i, x, f"{payment:.12g}")
+        (i, x, f"{float(payment):.12g}")
         for i, (x, payment) in enumerate(zip(report["x"], report["payments"]))
     ])
 
@@ -251,7 +253,7 @@ def cmd_fractional(instance_path, arithmetic, output):
     report = fractional_optimum(canonical).to_json(rows, original.n)
     report["removed"] = removed
     _emit(output, report, lambda: [("index", "x_star", "payment")] + [
-        (i, f"{x:.12g}", f"{payment:.12g}")
+        (i, f"{float(x):.12g}", f"{float(payment):.12g}")
         for i, (x, payment) in enumerate(zip(report["x_star"], report["payments"]))
     ])
 

@@ -26,7 +26,10 @@ from .errors import (
     UnboundedPrivacyLoss,
     ValidationError,
 )
-from .instances import AuctionInstance, Database, _check_finite, scatter
+from .instances import (
+    AuctionInstance, Database, _check_database, _check_finite, _complement, _double, _json_float,
+    _json_floats, scatter,
+)
 
 __all__ = [
     "Lef",
@@ -70,13 +73,7 @@ def _entries_for(estimator, database) -> tuple:
         raise DimensionMismatch(
             f"database has {len(entries)} entries, estimator expects {estimator.n}"
         )
-    interval = estimator.instance.interval
-    if set(map(type, entries)) == {float} and all(map(math.isfinite, entries)):
-        if interval.r_min <= min(entries) and max(entries) <= interval.r_max:
-            return entries
-    for i, d in enumerate(entries):
-        if not interval.contains(d):
-            raise ValidationError(f"database entry at index {i} lies outside the interval")
+    _check_database(entries, estimator.instance.interval)
     return entries
 
 
@@ -123,8 +120,7 @@ class Lef:
                     f"{len(self.anchors)} anchors for {self.instance.n} individuals"
                 )
             for i, a in enumerate(self.anchors):
-                if isinstance(a, float) and not math.isfinite(a):
-                    raise ValidationError(f"anchor not finite at index {i}")
+                _check_finite(a, f"anchor at index {i}")
 
     @property
     def n(self) -> int:
@@ -258,14 +254,11 @@ class Dclef:
         """Report by input row, as `MechanismOutcome.to_json`; an unbounded loss reads "inf"."""
         rows = range(self.n) if rows is None else rows
         n = len(rows) if n is None else n
-        eps = list(map(float, self.epsilons()))
-        if math.inf in eps:
-            eps = ["inf" if e == math.inf else e for e in eps]
         return {
             "x": scatter(self.x, rows, n, 0),
-            "sigma": float(self.sigma),
-            "epsilons": scatter(eps, rows, n),
-            "distortion": float(self.distortion()),
+            "sigma": _json_float(self.sigma),
+            "epsilons": scatter(_json_floats(self.epsilons()), rows, n),
+            "distortion": _json_float(self.distortion()),
         }
 
 
@@ -273,7 +266,9 @@ def evaluate(lef: Lef | Dclef, database, rng) -> float:
     """Sample the estimator on a database; deterministic for a fixed, nonnegative seed."""
     if isinstance(rng, (int, np.integer)) and rng < 0:
         raise ValidationError("seed must be nonnegative")
-    return lef.deterministic_part(database) + _draw_noise(lef.sigma, rng)
+    sigma = _double(lef.sigma)  # noise is drawn on doubles: beyond their range it is not finite
+    _check_finite(sigma, "noise scale")
+    return lef.deterministic_part(database) + _draw_noise(sigma, rng)
 
 
 @dataclass(frozen=True)
@@ -429,11 +424,8 @@ def tradeoff_construct(instance: AuctionInstance, alpha: float) -> Dclef:
     """
     if not 0 < alpha < 1:
         raise ParameterOutOfRange("alpha must lie strictly between 0 and 1")
-    cap = alpha * instance.total_weight
-    shielded = _best_subset_within(instance.abs_weights, cap)
-    hidden = set(shielded)
-    x = tuple(0 if i in hidden else 1 for i in range(instance.n))
-    return Dclef(instance, x)
+    shielded = _best_subset_within(instance.abs_weights, alpha * instance.total_weight)
+    return Dclef.from_selected(instance, _complement(shielded, instance.n))
 
 
 @dataclass(frozen=True)
@@ -455,12 +447,12 @@ class TradeoffReport:
 
     def to_json(self) -> dict:
         return {
-            "alpha": self.alpha,
-            "distortion": self.distortion,
-            "distortion_bound": self.distortion_bound,
+            "alpha": _json_float(self.alpha),
+            "distortion": _json_float(self.distortion),
+            "distortion_bound": _json_float(self.distortion_bound),
             "premise_holds": self.premise_holds,
-            "beta": self.beta,
-            "beta_bound": self.beta_bound,
+            "beta": _json_float(self.beta),
+            "beta_bound": _json_float(self.beta_bound),
             "beta_method": self.beta_method,
             "status": self.status,
         }

@@ -73,12 +73,8 @@ def _check_entries(values: tuple, what: str, all_pass, reason: str) -> None:
         if all_pass(values):
             return
     for i, value in enumerate(values):
-        if (
-            not _is_number(value)
-            or (isinstance(value, float) and not math.isfinite(value))
-            or not all_pass((value,))
-        ):
-            _check_finite(value, f"{what} at index {i}")
+        _check_finite(value, f"{what} at index {i}")
+        if not all_pass((value,)):
             raise ValidationError(reason.format(i))
 
 
@@ -102,11 +98,8 @@ class ValueInterval:
     def midpoint(self) -> Number:
         return (self.r_min + self.r_max) / 2
 
-    def contains(self, value: Number) -> bool:
-        return self.r_min <= value <= self.r_max
-
     def to_json(self) -> dict:
-        return {"min": _json_number(self.r_min), "max": _json_number(self.r_max)}
+        return {"min": _json_float(self.r_min), "max": _json_float(self.r_max)}
 
 
 @dataclass(frozen=True)
@@ -228,9 +221,9 @@ class AuctionInstance:
 
     def to_json(self) -> dict:
         return {
-            "weights": _json_list(self.weights),
-            "unit_costs": _json_list(self.unit_costs),
-            "budget": _json_number(self.budget),
+            "weights": _json_floats(self.weights),
+            "unit_costs": _json_floats(self.unit_costs),
+            "budget": _json_float(self.budget),
             "interval": self.interval.to_json(),
         }
 
@@ -423,17 +416,28 @@ def scatter(values: Sequence, rows: Sequence[int], n: int, fill=0.0) -> list:
 
 # --- JSON I/O -------------------------------------------------------------
 
-def _json_number(value: Number) -> float | int:
-    if isinstance(value, Fraction):
+def _double(value: Number) -> float:
+    """``float(value)``, with a `Fraction` or int beyond the double range read as ``±inf``."""
+    try:
         return float(value)
-    return value
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
-def _json_list(values: Sequence) -> list:
-    """``[_json_number(v) for v in values]``, in one C-level copy when no entry is a `Fraction`."""
-    if any(issubclass(kind, Fraction) for kind in set(map(type, values))):
-        return list(map(_json_number, values))
-    return list(values)
+def _json_float(value: Number) -> float | str:
+    """How a report writes a number: its `_double`, or that double's repr ("inf", "-inf", "nan")."""
+    value = _double(value)
+    return value if math.isfinite(value) else repr(value)
+
+
+def _json_floats(values: Sequence) -> list:
+    """`_json_float` of each value, in one C-level pass when every value is a finite double."""
+    try:
+        out = list(map(float, values))
+    except OverflowError:
+        return list(map(_json_float, values))
+    # an inf or nan entry, or finite entries whose sum overflows, leave the sum non-finite
+    return out if math.isfinite(sum(out)) else list(map(_json_float, out))
 
 
 def _require(data: dict, key: str) -> Any:
@@ -506,15 +510,18 @@ def parse_database(data: dict, instance: AuctionInstance) -> Database | None:
     return Database(entries)
 
 
+def _read_text(source) -> str:
+    """The text of a path or a file object; a path that cannot be read raises ParseError."""
+    if not isinstance(source, (str, Path)):
+        return source.read()
+    try:
+        return Path(source).read_text()
+    except OSError as exc:
+        raise ParseError(f"cannot read {source}: {exc}") from exc
+
+
 def _load_json(source) -> dict:
-    if isinstance(source, (str, Path)):
-        try:
-            with open(source) as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise ParseError(f"cannot read {source}: {exc}") from exc
-    else:
-        text = source.read()
+    text = _read_text(source)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -536,7 +543,7 @@ def save_instance(instance: AuctionInstance, target, database: Database | None =
     """Write instance JSON; exact round trip for finite double values."""
     data = instance.to_json()
     if database is not None:
-        data["database"] = _json_list(database.entries)
+        data["database"] = _json_floats(database.entries)
     text = json.dumps(data, sort_keys=True, indent=2) + "\n"
     if isinstance(target, (str, Path)):
         Path(target).write_text(text)

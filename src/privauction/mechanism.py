@@ -29,7 +29,7 @@ from typing import Sequence
 
 from .errors import EmptyInstance, NonUniformWeights, NotCanonical, ValidationError
 from .estimator import Dclef
-from .instances import AuctionInstance, scatter
+from .instances import AuctionInstance, _json_float, _json_floats, scatter
 
 __all__ = [
     "MechanismOutcome",
@@ -71,13 +71,13 @@ class MechanismOutcome:
         n = len(rows) if n is None else n
         return {
             "O": sorted(rows[i] for i in self.selected),
-            "payments": scatter([float(p) for p in self.payments], rows, n),
+            "payments": scatter(_json_floats(self.payments), rows, n),
             "k": self.k,
             "i_star": rows[self.i_star],
             "branch": self.branch,
             "r": None if self.r is None else rows[self.r],
-            "p_hat": None if self.p_hat is None else float(self.p_hat),
-            "objective": float(self.objective),
+            "p_hat": None if self.p_hat is None else _json_float(self.p_hat),
+            "objective": _json_float(self.objective),
             "dclef": self.dclef.to_json(rows, n),
         }
 

@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import DegenerateAllOnes, InstanceTooLarge, NotCanonical
-from .instances import AuctionInstance, scatter
+from .instances import AuctionInstance, _double, _json_float, _json_floats, scatter
 from .mechanism import MechanismOutcome, fair_inner_product
 
 __all__ = [
@@ -55,10 +55,10 @@ class FractionalSolution:
         rows = range(self.n) if rows is None else rows
         n = len(rows) if n is None else n
         return {
-            "x_star": scatter([float(x) for x in self.x_star], rows, n),
-            "payments": scatter([float(p) for p in self.payments], rows, n),
+            "x_star": scatter(_json_floats(self.x_star), rows, n),
+            "payments": scatter(_json_floats(self.payments), rows, n),
             "ell": self.ell,
-            "objective": float(self.objective),
+            "objective": _json_float(self.objective),
         }
 
 
@@ -192,8 +192,8 @@ class OracleSolution:
         n = len(rows) if n is None else n
         return {
             "x": scatter(self.x, rows, n, 0),
-            "objective": float(self.objective),
-            "payments": scatter([float(p) for p in self.payments], rows, n),
+            "objective": _json_float(self.objective),
+            "payments": scatter(_json_floats(self.payments), rows, n),
         }
 
 
@@ -320,10 +320,10 @@ class OptBoundsReport:
 
     def to_json(self) -> dict:
         return {
-            "opt": self.opt,
-            "fractional_objective": self.fractional_objective,
-            "mechanism_objective": self.mechanism_objective,
-            "ratio": self.ratio,
+            "opt": _json_float(self.opt),
+            "fractional_objective": _json_float(self.fractional_objective),
+            "mechanism_objective": _json_float(self.mechanism_objective),
+            "ratio": _json_float(self.ratio),
             "uniform_weights": self.uniform_weights,
             "degenerate_zero_costs": self.degenerate_zero_costs,
             "ell": self.ell,
@@ -386,8 +386,8 @@ def opt_bounds_check(
     uniform = instance.has_uniform_weights
     if uniform:
         checks["ratio_le_2_uniform"] = opt <= 2 * mech * rel
-    opt, mech = float(opt), float(mech)  # the report's fields
+    opt, mech = _double(opt), _double(mech)  # the report's fields
     ratio = opt / mech if mech > 0 else math.inf
     return OptBoundsReport(
-        opt, float(frac_value), mech, ratio, uniform, degenerate, ell, k, checks
+        opt, _double(frac_value), mech, ratio, uniform, degenerate, ell, k, checks
     )

@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 from itertools import chain
 from operator import methodcaller
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +26,7 @@ from .errors import (
     SingularSystem,
     ValidationError,
 )
-from .instances import AuctionInstance, ValueInterval
+from .instances import AuctionInstance, ValueInterval, _json_floats, _read_text
 
 __all__ = [
     "FeatureSet",
@@ -126,7 +125,7 @@ class DerivedWeights:
     def to_json(self) -> dict:
         return {
             "method": self.method,
-            "weights": list(map(float, self.weights)),
+            "weights": _json_floats(self.weights),
             "kept": list(self.kept),
             "dropped": list(self.dropped),
         }
@@ -244,6 +243,10 @@ class WeightSpec:
     lam: float | None = None
     drop_tol: float = DROP_TOLERANCE
 
+    def __post_init__(self) -> None:
+        if not 0 <= self.drop_tol < 1:  # also rejects NaN: a tolerance of 1 drops every weight
+            raise ValidationError("drop tolerance must lie in [0, 1)")
+
     def _kernel(self) -> GaussianKernel | LinearKernel:
         if self.kernel == "gaussian":
             return GaussianKernel(self.bandwidth)
@@ -313,13 +316,7 @@ def load_feature_csv(source, id_column: bool = False) -> tuple[list[str] | None,
     text that pass leaves undecided, is read row by row through `csv.reader`,
     which names the first offending row or cell.
     """
-    if isinstance(source, (str, Path)):
-        try:
-            text = Path(source).read_text()
-        except OSError as exc:
-            raise ParseError(f"cannot read {source}: {exc}") from exc
-    else:
-        text = source.read()
+    text = _read_text(source)
     if '"' not in text and not id_column:
         matrix = _split_matrix(text)
         if matrix is not None:
@@ -365,7 +362,8 @@ def build_instance(
     """Assemble an auction instance from derived weights and per-row costs.
 
     Costs are given in original row order, one per feature row; the entries of
-    dropped rows are discarded alongside their weights.
+    dropped rows are discarded alongside their weights. The budget must be
+    positive, as in an instance file.
     """
     n_original = len(derived.kept) + len(derived.dropped)
     if len(unit_costs) != n_original:
@@ -375,5 +373,7 @@ def build_instance(
         )
     if derived.n_kept == 0:
         raise EmptyInstance("every weight was dropped; no individuals remain")
+    if budget == 0:  # a negative budget fails in AuctionInstance, as "negative budget"
+        raise ValidationError("budget must be positive")
     costs = tuple(map(float, map(unit_costs.__getitem__, derived.kept)))
     return AuctionInstance(derived.weights, costs, budget, interval)

@@ -41,7 +41,7 @@ from functools import partial
 import numpy as np
 
 from .errors import EmptyInstance, ParameterOutOfRange, ValidationError
-from .instances import AuctionInstance, ValueInterval, filter_survivors, prepare
+from .instances import AuctionInstance, ValueInterval, _json_float, filter_survivors, prepare
 from .mechanism import (
     check_single_winner,
     decide,
@@ -523,21 +523,14 @@ def _scaled_ints(values, scale: int) -> list[int]:
     return [v.numerator * (scale // v.denominator) for v in values]
 
 
-def _finite_or_repr(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return repr(value)
-    return value
-
-
 def _witness(prop: str, config: SweepConfig, index: int, instance, **extra) -> dict:
-    out = {
+    return {
         "property": prop,
         "rng_seed": config.rng_seed,
         "instance_index": index,
         "instance": instance.to_json(),
+        **extra,
     }
-    out.update({key: _finite_or_repr(value) for key, value in extra.items()})
-    return out
 
 
 def _truthfulness_record(config: SweepConfig, index: int, mutation: str | None) -> dict:
@@ -554,7 +547,7 @@ def _truthfulness_record(config: SweepConfig, index: int, mutation: str | None) 
 
     total_paid, budget = sum(outcome.payments), instance.budget
     if not total_paid <= budget + slack(budget):
-        fail("budget_feasible", total_paid=float(total_paid), budget=float(budget))
+        fail("budget_feasible", total_paid=_json_float(total_paid), budget=_json_float(budget))
 
     eps = outcome.dclef.epsilons()
     for i, pay in enumerate(outcome.payments):
@@ -562,7 +555,7 @@ def _truthfulness_record(config: SweepConfig, index: int, mutation: str | None) 
         if not pay >= cost - slack(cost):
             fail(
                 "individually_rational",
-                individual=i, payment=float(pay), privacy_cost=float(cost),
+                individual=i, payment=_json_float(pay), privacy_cost=_json_float(cost),
             )
 
     gain_slack = 0 if instance.exact else TRUTHFUL_SLACK
@@ -576,8 +569,9 @@ def _truthfulness_record(config: SweepConfig, index: int, mutation: str | None) 
             # a NaN utility fails the check: only a proven "no gain" passes
             if not dev_utility <= bound:
                 fail(
-                    "truthful", individual=i, misreport=float(z),
-                    honest_utility=float(honest_utility), deviating_utility=float(dev_utility),
+                    "truthful", individual=i, misreport=_json_float(z),
+                    honest_utility=_json_float(honest_utility),
+                    deviating_utility=_json_float(dev_utility),
                 )
     failed = {witness["property"] for witness in failures}
     props = ("budget_feasible", "individually_rational", "truthful")

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -592,3 +593,113 @@ class TestEmitJson:
             assert result.exit_code == code, result.output
             data = json.loads(result.stdout)
             assert result.stdout == json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+def _strict_json(text: str):
+    """``json.loads`` that refuses the non-standard tokens Infinity, -Infinity and NaN."""
+
+    def reject(token):
+        raise AssertionError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+OVERFLOW = {"budget": 1, "interval": {"min": 0, "max": 1}, "database": [1, 1, 1]}
+OVERFLOW_FILES = {
+    # every sum of two weights is beyond the double range
+    "huge-weights": {**OVERFLOW, "weights": [1e308] * 3, "unit_costs": [0.1, 0.2, 0.3]},
+    # as above, and the interval length too: the noise scale overflows in both modes
+    "huge-interval": {
+        **OVERFLOW, "weights": [1e308] * 3, "unit_costs": [0.1, 0.2, 0.3],
+        "interval": {"min": -1e308, "max": 1e308},
+    },
+    # the released mean overflows, the noise scale does not
+    "huge-estimate": {**OVERFLOW, "weights": [1e308, 1e308, 1], "unit_costs": [0, 0, 0.3]},
+}
+
+
+class TestStrictJson:
+    """Every number in a report is a finite float or the string "inf", "-inf" or "nan"."""
+
+    @pytest.mark.parametrize("name", sorted(OVERFLOW_FILES))
+    @pytest.mark.parametrize("arithmetic", ["float", "rational"])
+    @pytest.mark.parametrize("output", ["json", "csv"])
+    @pytest.mark.parametrize("args", [["run", "--compare-opt"], ["oracle"], ["fractional"]])
+    def test_overflowing_instances_exit_0(self, runner, instance_file, name, arithmetic, output, args):
+        path = instance_file(OVERFLOW_FILES[name], f"{name}.json")
+        command = [args[0], str(path), *args[1:], "--arithmetic", arithmetic, "--output", output]
+        result = runner.invoke(main, command)
+        assert result.exit_code == 0, (result.output, result.exception)
+        if output == "json":
+            _strict_json(result.stdout)
+        else:
+            rows = list(csv.reader(io.StringIO(result.stdout)))
+            assert len(rows) == 4 and len(set(map(len, rows))) == 1
+
+    def test_non_finite_values_read_as_strings(self, runner, instance_file):
+        path = instance_file(OVERFLOW_FILES["huge-weights"])
+        data = _strict_json(runner.invoke(main, ["run", str(path), "--compare-opt"]).stdout)
+        assert data["dclef"]["sigma"] == data["dclef"]["distortion"] == "inf"
+        assert data["oracle"]["objective"] == data["fractional"]["objective"] == "inf"
+        assert data["oracle"]["payments"] == ["nan"] * 3
+        assert data["objective"] == 1e308 and data["ratio"] == "inf"
+
+    def test_rational_objective_beyond_doubles_reads_inf(self, runner, instance_file):
+        path = instance_file(OVERFLOW_FILES["huge-interval"])
+        result = runner.invoke(main, ["run", str(path), "--compare-opt", "--arithmetic", "rational"])
+        data = _strict_json(result.stdout)
+        assert data["objective"] == data["dclef"]["sigma"] == "inf"
+        assert data["oracle"]["payments"] == [0.0, 0.2, 0.3]
+        assert data["ratio"] == "nan"  # inf / inf
+
+    @pytest.mark.parametrize("arithmetic", ["float", "rational"])
+    def test_overflowing_noise_scale_exit_1(self, runner, instance_file, arithmetic):
+        path = instance_file(OVERFLOW_FILES["huge-interval"])
+        result = runner.invoke(main, ["run", str(path), "--database", "--arithmetic", arithmetic])
+        assert result.exit_code == 1
+        assert json.loads(result.stderr) == {
+            "error": "ValidationError", "message": "noise scale is not finite: inf"
+        }
+
+    @pytest.mark.parametrize("arithmetic", ["float", "rational"])
+    def test_overflowing_estimate_reads_inf(self, runner, instance_file, arithmetic):
+        path = instance_file(OVERFLOW_FILES["huge-estimate"])
+        result = runner.invoke(main, ["run", str(path), "--database", "--arithmetic", arithmetic])
+        assert result.exit_code == 0, result.output
+        assert _strict_json(result.stdout)["estimate"] == "inf"
+
+
+class TestWeightsOptions:
+    @pytest.fixture
+    def feats(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("0\n1\n2\n")
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "budget, message", [("0", "budget must be positive"), ("-1", "negative budget")]
+    )
+    def test_non_positive_budget_exit_1(self, runner, feats, budget, message):
+        result = runner.invoke(main, [
+            "weights", feats, "--method", "knn", "--k", "2", "--query", "0.9",
+            "--costs", "1,2,3", f"--budget={budget}",
+        ])
+        assert result.exit_code == 1
+        assert json.loads(result.stderr) == {"error": "ValidationError", "message": message}
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-0.5", "1", "2.5"])
+    def test_drop_tolerance_outside_unit_interval_exit_1(self, runner, feats, tol):
+        result = runner.invoke(main, [
+            "weights", feats, "--method", "knn", "--k", "2", "--query", "0.9", f"--drop-tol={tol}",
+        ])
+        assert result.exit_code == 1
+        assert json.loads(result.stderr) == {
+            "error": "ValidationError", "message": "drop tolerance must lie in [0, 1)"
+        }
+
+    def test_zero_drop_tolerance_keeps_every_nonzero_weight(self, runner, feats):
+        result = runner.invoke(main, [
+            "weights", feats, "--method", "knn", "--k", "2", "--query", "0.9", "--drop-tol=0",
+        ])
+        assert result.exit_code == 0
+        assert json.loads(result.stdout)["weights"] == [0.5, 0.5]

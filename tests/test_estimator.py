@@ -715,3 +715,38 @@ class TestDclefSerialization:
         assert data["x"] == [0, 0, 1, 0, 1]
         assert data["epsilons"] == [0.0, 0.0, 0.5, 0.0, 0.5]
         assert data["sigma"] == 2.0
+
+
+class TestEstimatorBoundary:
+    @pytest.mark.parametrize("entries", [(True, False, True), ("a", 0.5, 0.5)])
+    def test_evaluate_rejects_non_numeric_entries(self, entries):
+        inst = make_instance([1, 1, 1], [1, 1, 1], 1, UNIT)
+        for estimator in (Lef(inst, (1.0, 0.0, 1.0), 1.0), Dclef(inst, (1, 0, 1))):
+            with pytest.raises(ValidationError, match="database entry at index 0 is not a number"):
+                evaluate(estimator, entries, 0)
+
+    def test_evaluate_names_a_non_finite_entry(self):
+        inst = make_instance([1, 1], [1, 1], 1, UNIT)
+        with pytest.raises(ValidationError, match="database entry at index 1 is not finite"):
+            evaluate(Dclef(inst, (1, 0)), (0.5, math.nan), 0)
+
+    @pytest.mark.parametrize("anchors", [("a", "b", "c"), (None, 0.5, 0.5), (math.inf, 0.5, 0.5)])
+    def test_lef_checks_each_anchor(self, anchors):
+        inst = make_instance([1, 1, 1], [1, 1, 1], 1, UNIT)
+        with pytest.raises(ValidationError, match="anchor at index 0 is not"):
+            Lef(inst, (1.0, 0.0, 1.0), 1.0, anchors=anchors)
+
+    def test_exact_noise_scale_beyond_doubles_is_not_finite(self):
+        inst = make_instance([1, 1], [1, 1], 1, UNIT).to_rational()
+        lef = Lef(inst, (1, 0), Fraction(10**400))
+        with pytest.raises(ValidationError, match="noise scale is not finite: inf"):
+            evaluate(lef, (0.5, 0.5), 0)
+
+    @pytest.mark.parametrize("n", [3, 30])
+    def test_tradeoff_construct_hides_the_shielded_set(self, n):
+        rng = np.random.default_rng(n)
+        inst = make_instance(rng.lognormal(0, 1, n), np.sort(rng.uniform(0, 2, n)), 1.0)
+        dclef = tradeoff_construct(inst, 0.3)
+        shielded = _best_subset_within(inst.abs_weights, 0.3 * inst.total_weight)
+        assert dclef.x == tuple(0 if i in shielded else 1 for i in range(n))
+        assert all(type(xi) is int for xi in dclef.x)

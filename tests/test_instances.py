@@ -714,3 +714,57 @@ class TestDatabase:
         assert rational.weights == (Fraction(1), Fraction(-2))
         assert rational.total_weight == Fraction(3)
         assert rational.to_json() == inst.to_json()
+
+
+class TestNumberRule:
+    """`_json_float` and `_json_floats`: how every report writes a number."""
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [
+            (1, 1.0),
+            (Fraction(1, 4), 0.25),
+            (-0.0, -0.0),
+            (math.inf, "inf"),
+            (-math.inf, "-inf"),
+            (math.nan, "nan"),
+            (10**400, "inf"),
+            (Fraction(-(10**400), 3), "-inf"),
+            (Fraction(1, 10**400), 0.0),
+        ],
+    )
+    def test_scalar(self, value, expected):
+        from privauction.instances import _json_float
+
+        got = _json_float(value)
+        assert type(got) is type(expected) and repr(got) == repr(expected)
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(),
+                st.integers(-(10**400), 10**400),
+                st.fractions(),
+                st.sampled_from([Fraction(10**400), Fraction(-(10**309)), 1.7e308]),
+            ),
+            max_size=12,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_list_form_is_the_scalar_rule(self, values):
+        from privauction.instances import _json_float, _json_floats
+
+        got = _json_floats(values)
+        assert repr(got) == repr(list(map(_json_float, values)))
+        json.dumps(got, allow_nan=False)
+
+    def test_int_instance_writes_floats(self):
+        inst = AuctionInstance((1, -2), (0, 3), 2, ValueInterval(0, 1))
+        buffer = io.StringIO()
+        save_instance(inst, buffer, Database((0, 1)))
+        data = json.loads(buffer.getvalue())
+        assert data == {
+            "weights": [1.0, -2.0], "unit_costs": [0.0, 3.0], "budget": 2.0,
+            "interval": {"min": 0.0, "max": 1.0}, "database": [0.0, 1.0],
+        }
+        assert all(type(v) is float for v in data["weights"] + data["unit_costs"])

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -489,3 +490,13 @@ class TestOptBoundsCheck:
         rounded = opt_bounds_check(hardness, SimpleNamespace(k=1, objective=float(short)))
         assert not exact.checks["ratio_le_5"]
         assert rounded.checks["ratio_le_5"]
+
+
+def test_exact_report_beyond_doubles_is_strict_json():
+    # every pair of weights sums beyond the double range; exact input keeps its decisions
+    inst = make_instance([1e308] * 3, [0.1, 0.2, 0.3], 1.0).to_rational()
+    report = opt_bounds_check(inst)
+    assert report.ok
+    data = report.to_json()
+    assert data["opt"] == data["mechanism_objective"] == "inf" and data["ratio"] == "nan"
+    json.dumps(data, allow_nan=False)

@@ -457,3 +457,22 @@ class TestBuildInstance:
         d = knn_weights(fs, 2)
         with pytest.raises(ValidationError, match="unit costs"):
             build_instance(d, [5.0, 6.0], 1.0, ValueInterval(0.0, 1.0))
+
+
+class TestSpecBoundary:
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-12, 1.0, 2.0])
+    def test_drop_tolerance_outside_unit_interval_rejected(self, tol):
+        with pytest.raises(ValidationError, match=r"drop tolerance must lie in \[0, 1\)"):
+            WeightSpec("knn", k=1, drop_tol=tol)
+
+    @pytest.mark.parametrize("tol", [0.0, DROP_TOLERANCE, 0.5, 0.999])
+    def test_drop_tolerance_inside_unit_interval_accepted(self, tol):
+        assert WeightSpec("knn", k=1, drop_tol=tol).drop_tol == tol
+
+    @pytest.mark.parametrize(
+        "budget, message", [(0.0, "budget must be positive"), (-1.0, "negative budget")]
+    )
+    def test_build_instance_needs_positive_budget(self, budget, message):
+        d = DerivedWeights((0.5, 0.5), (0, 1), (), "m")
+        with pytest.raises(ValidationError, match=message):
+            build_instance(d, [1.0, 2.0], budget, ValueInterval(0.0, 1.0))

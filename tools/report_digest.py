@@ -34,7 +34,13 @@ whether the change kept its reports byte-identical. The families:
   on 5,000-row instances whose budgets filter a few percent;
 - ``csv``: ``predictors.load_feature_csv`` (ids and matrix bytes, or the
   error message) on unquoted and quoted corpora: headers, id columns, blank
-  lines, float spellings, ragged rows, non-numeric cells and empty files.
+  lines, float spellings, ragged rows, non-numeric cells and empty files;
+- ``estimator``: on seeded float and `Fraction` instances, ``evaluate`` of
+  `Lef`s (midpoint and arbitrary anchors) and `Dclef`s on in-range, corner,
+  out-of-range and wrong-length databases, ``Dclef.to_json(rows, n)``,
+  ``tradeoff_construct`` (exact search and first-fit-decreasing),
+  ``privacy_index_exact``/``privacy_index_greedy`` and
+  ``check_tradeoff_bound``.
 
 The whole run takes about a minute on a 2-core machine; ``--family`` picks
 some families only.
@@ -49,9 +55,25 @@ import tempfile
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from io import StringIO
 
+from fractions import Fraction
+
 import numpy as np
 
-from privauction import AuctionInstance, EmptyInstance, ValueInterval, brute_force_opt, verify
+from privauction import (
+    AuctionInstance,
+    Dclef,
+    EmptyInstance,
+    Lef,
+    PrivauctionError,
+    ValueInterval,
+    brute_force_opt,
+    check_tradeoff_bound,
+    evaluate,
+    privacy_index_exact,
+    privacy_index_greedy,
+    tradeoff_construct,
+    verify,
+)
 from privauction.cli import main
 from privauction.errors import ParseError
 from privauction.instances import filter_survivors, prepare
@@ -390,6 +412,86 @@ def csv_family():
         yield out + b"\n"
 
 
+def _estimator_instances():
+    """Seeded instances: signed lognormal floats, their `Fraction` views, integer grids, n to 60."""
+    rng = np.random.default_rng(41)
+    intervals = (ValueInterval(0.0, 1.0), ValueInterval(-1.0, 2.5))
+    for index in range(120):
+        n = int(rng.integers(1, 13)) if index % 10 else int(rng.choice([26, 40, 60]))
+        if index % 3 == 2:
+            weights = (rng.integers(1, 10, n) * rng.choice([-1, 1], n)).astype(float)
+        else:
+            weights = rng.lognormal(0.0, 1.0, n) * rng.choice([-1.0, 1.0], n)
+        costs = np.sort(rng.uniform(0.0, 2.0, n))
+        instance = AuctionInstance(
+            tuple(weights.tolist()), tuple(costs.tolist()), float(rng.uniform(0.1, 3.0)),
+            intervals[index % 2],
+        )
+        yield rng, instance
+        if index % 3:
+            yield rng, instance.to_rational()
+
+
+def _databases(rng, instance):
+    """In-range and corner databases, then one entry out of range and one too short."""
+    lo, hi = instance.interval.r_min, instance.interval.r_max
+    n = instance.n
+    inside = (lo + (hi - lo) * rng.uniform(0.0, 1.0, n)).tolist()
+    corners = [lo if bit else hi for bit in rng.integers(0, 2, n)]
+    outside = list(inside)
+    outside[int(rng.integers(0, n))] = hi + 0.5
+    yield tuple(inside)
+    yield tuple(corners)
+    if instance.exact:
+        yield tuple(map(Fraction, inside))
+    yield tuple(outside)
+    yield tuple(inside[:-1])
+
+
+def _estimators(rng, instance):
+    """Two Dclefs (random flags, everyone out) and two Lefs (midpoint and random anchors)."""
+    n, exact = instance.n, instance.exact
+    yield Dclef(instance, tuple(int(b) for b in rng.integers(0, 2, n)))
+    yield Dclef(instance, (0,) * n)
+    x = [float(v) for v in rng.choice([0.0, 0.25, 0.5, 1.0], n)]
+    sigma = float(rng.choice([0.0, 0.5, 3.0]))
+    if exact:
+        x, sigma = list(map(Fraction, x)), Fraction(sigma)
+    yield Lef(instance, tuple(x), sigma)
+    lo, hi = instance.interval.r_min, instance.interval.r_max
+    anchors = (lo + (hi - lo) * rng.uniform(0.0, 1.0, n)).tolist()
+    yield Lef(instance, tuple(x), sigma, anchors=tuple(anchors))
+
+
+def _outcome(call) -> str:
+    try:
+        return repr(call())
+    except PrivauctionError as exc:
+        return repr((type(exc).__name__, str(exc)))
+
+
+def estimator():
+    for rng, instance in _estimator_instances():
+        n = instance.n
+        out = []
+        for est in _estimators(rng, instance):
+            seed = int(rng.integers(0, 2**31))
+            out += [_outcome(lambda: evaluate(est, db, seed)) for db in _databases(rng, instance)]
+            if n <= 14:
+                out.append(_outcome(lambda: privacy_index_exact(est)))
+            out.append(_outcome(lambda: privacy_index_greedy(est)))
+            if isinstance(est, Dclef):
+                n0 = n + int(rng.integers(0, 4))
+                rows = tuple(rng.permutation(n0)[:n].tolist())
+                out.append(json.dumps(est.to_json(rows, n0), sort_keys=True))
+                out.append(json.dumps(est.to_json(), sort_keys=True))
+        for alpha in (0.1, 0.3, 0.5, 0.9):
+            shielded = tradeoff_construct(instance, alpha)
+            report = check_tradeoff_bound(shielded, alpha)
+            out.append(repr(shielded.x) + repr(report) + json.dumps(report.to_json(), sort_keys=True))
+        yield "\n".join(out).encode() + b"\n"
+
+
 FAMILIES = {
     "truthfulness": truthfulness,
     "approximation": approximation,
@@ -399,6 +501,7 @@ FAMILIES = {
     "commands": commands,
     "prepare": prepare_family,
     "csv": csv_family,
+    "estimator": estimator,
 }
 
 
