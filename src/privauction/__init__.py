@@ -15,7 +15,6 @@ from .errors import (
     IllConditionedWarning,
     InstanceTooLarge,
     KOutOfRange,
-    NonUniformWeights,
     NotCanonical,
     ParameterOutOfRange,
     ParseError,
@@ -45,7 +44,7 @@ from .instances import (
     prepare,
     save_instance,
 )
-from .mechanism import MechanismOutcome, fair_inner_product, ghosh_roth_special_case
+from .mechanism import MechanismOutcome, fair_inner_product
 from .optimal import (
     FractionalSolution,
     KktCertificate,

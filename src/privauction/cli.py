@@ -228,19 +228,24 @@ def cmd_weights(features_csv, query, query_csv, method, k, kernel, bandwidth, la
     _emit(output, report, derived.csv_rows)
 
 
+def _emit_solution(instance_path, arithmetic, output, solve, x_column: str) -> None:
+    """Print ``solve``'s solution of the filtered instance by row; ``x_column`` names its x."""
+    original, canonical, rows, removed, _ = _load(instance_path, arithmetic)
+    report = solve(canonical).to_json(rows, original.n)
+    report["removed"] = removed
+    _emit(output, report, lambda: [("index", x_column, "payment")] + [
+        (i, f"{float(x):.12g}", f"{float(payment):.12g}")
+        for i, (x, payment) in enumerate(zip(report[x_column], report["payments"]))
+    ])
+
+
 @main.command("oracle")
 @click.argument("instance_path", type=click.Path())
 @click.option("--arithmetic", type=click.Choice(["float", "rational"]), default="float", show_default=True)
 @click.option("--output", type=click.Choice(["json", "csv"]), default="json", show_default=True)
 def cmd_oracle(instance_path, arithmetic, output):
     """Exact integer optimum of the filtered instance (desk scale only)."""
-    original, canonical, rows, removed, _ = _load(instance_path, arithmetic)
-    report = brute_force_opt(canonical).to_json(rows, original.n)
-    report["removed"] = removed
-    _emit(output, report, lambda: [("index", "x", "payment")] + [
-        (i, x, f"{float(payment):.12g}")
-        for i, (x, payment) in enumerate(zip(report["x"], report["payments"]))
-    ])
+    _emit_solution(instance_path, arithmetic, output, brute_force_opt, "x")
 
 
 @main.command("fractional")
@@ -249,13 +254,7 @@ def cmd_oracle(instance_path, arithmetic, output):
 @click.option("--output", type=click.Choice(["json", "csv"]), default="json", show_default=True)
 def cmd_fractional(instance_path, arithmetic, output):
     """Closed-form continuous optimum of the filtered instance."""
-    original, canonical, rows, removed, _ = _load(instance_path, arithmetic)
-    report = fractional_optimum(canonical).to_json(rows, original.n)
-    report["removed"] = removed
-    _emit(output, report, lambda: [("index", "x_star", "payment")] + [
-        (i, f"{float(x):.12g}", f"{float(payment):.12g}")
-        for i, (x, payment) in enumerate(zip(report["x_star"], report["payments"]))
-    ])
+    _emit_solution(instance_path, arithmetic, output, fractional_optimum, "x_star")
 
 
 if __name__ == "__main__":

@@ -33,10 +33,6 @@ class NotCanonical(PrivauctionError):
     """Unit costs are not in non-decreasing order."""
 
 
-class NonUniformWeights(PrivauctionError):
-    """Operation requires all weight magnitudes to be equal."""
-
-
 class KOutOfRange(PrivauctionError):
     """Neighbor count outside [1, n]."""
 

@@ -27,14 +27,13 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Sequence
 
-from .errors import EmptyInstance, NonUniformWeights, NotCanonical, ValidationError
+from .errors import EmptyInstance, NotCanonical, ValidationError
 from .estimator import Dclef
 from .instances import AuctionInstance, _json_float, _json_floats, scatter
 
 __all__ = [
     "MechanismOutcome",
     "fair_inner_product",
-    "ghosh_roth_special_case",
 ]
 
 
@@ -226,19 +225,3 @@ def fair_inner_product(
     check_single_winner(outcome.k, outcome.i_star, outcome.r)
     return outcome
 
-
-def ghosh_roth_special_case(
-    instance: AuctionInstance, *, identity: Sequence[int] | None = None
-) -> MechanismOutcome:
-    """Uniform-weight run; the selected set always equals the affordable prefix.
-
-    With equal magnitudes the single-winner branch can fire only at ``k = 1``
-    with the designated individual in first position, where the selected sets
-    coincide; the payment rule that actually fired is visible in ``branch``.
-    """
-    if not instance.has_uniform_weights:
-        raise NonUniformWeights("all weight magnitudes must be equal")
-    outcome = fair_inner_product(instance, identity=identity)
-    if set(outcome.selected) != set(range(outcome.k)):
-        raise AssertionError("uniform-weight selection differs from the affordable prefix")
-    return outcome

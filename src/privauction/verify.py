@@ -10,13 +10,18 @@ one or scales the honest payments, so a sweep can show it catches the fault.
 The truthfulness sweep replays every misreport on the grid through
 `deviator_kernel` rather than the whole filter-sort-mechanism pipeline. The
 mechanism is a single-parameter threshold auction, so only the deviator's
-own payment and privacy loss respond to its report ``z``. While the deviator
-``i`` is alive, the others' filter tests do not read ``z``, so the filter runs
-once per deviator with ``i``'s own test skipped; ``i`` survives iff it
-passes against the final survivor total ``W'``, that is
-``W' - |w_i| > 0`` and ``|w_i| * z <= B * (W' - |w_i|)``. Each report then
-costs one bisect into the others' canonical order and one O(n) pass, bit for
-bit equal to the pipeline (`_deviation_utility`, kept as the reference).
+own payment and privacy loss respond to its report ``z``, and they are a
+step function of ``z`` (Myerson 1981; Archer and Tardos, FOCS 2001). While
+the deviator ``i`` is alive, the others' filter tests do not read ``z``, so
+the filter runs once per deviator with ``i``'s own test skipped; ``i``
+survives iff it passes against the final survivor total ``W'``, that is
+``W' - |w_i| > 0`` and ``|w_i| * z <= B * (W' - |w_i|)``. With the other
+survivors fixed, a step is named by ``i``'s insertion slot among them and,
+on that slot, the verdict of the prefix rule's own test on ``i``'s cost. The
+mechanism runs once per step a deviator reaches, at most twice per slot, so
+O(n) times at O(n) each; every other report costs two bisects and one
+comparison. The result is bit for bit the pipeline's (`_deviation_utility`,
+kept as the reference).
 
 Float and rational mode run the same code. Rational mode's instances are
 exact (`AuctionInstance.exact`), so the misreport grid takes exact factors
@@ -36,7 +41,7 @@ from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -403,12 +408,12 @@ def _deviation_utility(reported_instance, i: int, true_cost, mechanism):
 
 
 def deviator_kernel(instance: AuctionInstance, i: int, mutation: str | None = None):
-    """Individual ``i``'s utility as a function of its report, one pipeline run per deviator.
+    """Individual ``i``'s utility as a function of its report, one mechanism run per step.
 
     Returns ``utility(z, true_cost)``, equal bit for bit to `_deviation_utility`
     on ``instance`` with ``i``'s cost replaced by ``z``, under
-    ``mechanism_under(mutation)``, in O(n) per report and with no instance,
-    estimator or outcome built.
+    ``mechanism_under(mutation)``, with no instance, estimator or outcome
+    built.
 
     Filter once: while ``i`` is alive, every other individual's filter test
     reads only its own cost and the survivor total, never ``z``. So the
@@ -418,11 +423,22 @@ def deviator_kernel(instance: AuctionInstance, i: int, mutation: str | None = No
     ``W' - |w_i| > 0`` and ``|w_i| * z <= B * (W' - |w_i|)``, tested in the
     filter's own cross-multiplied form. Otherwise its utility is 0.
 
-    Per report: the other survivors are sorted once by ``(cost, input row)``
-    and ``i`` is bisected in with key ``(z, i)``, which is the canonical order
-    `instances.prepare` produces. Sums run in canonical order, as the
-    pipeline's do, and `mechanism.decide` makes the decisions, so only
-    ``i``'s payment and privacy loss are left to compute.
+    A step per slot and verdict: the other survivors are sorted once by
+    ``(cost, input row)`` and ``i`` is bisected in with key ``(z, i)``, the
+    canonical order `instances.prepare` produces. With that slot ``pos``
+    fixed, the mechanism reads ``z`` in one place that can change ``i``'s
+    outcome: the prefix rule's test at ``t = pos + 1``,
+    ``B * (W - w([pos + 1])) >= z * w([pos + 1])``, whose two sums depend
+    on the slot alone (the last slot has no such test). The rate rule reads
+    the cost at ``k``, which is ``i``'s only when ``i`` is unselected, and
+    the single-winner scan reads costs other than ``i_star``'s, while ``i``'s
+    payment depends on ``r`` only when ``i`` is ``i_star``; both hold for
+    every rule of `MUTATIONS` too. So ``i``'s payment and privacy loss are
+    a function of ``(pos, verdict)``: `mechanism.decide` runs on the first
+    report of each step, at most twice per slot, and every other report
+    costs two bisects and one comparison. Sums run in canonical order from
+    the pipeline's start values, as the pipeline's do, so the verdicts and
+    the stored values are the pipeline's bits.
 
     Exact integers: every comparison in `mechanism.decide` and its rules is
     cross-multiplied and homogeneous, of equal degree in money (budget,
@@ -433,8 +449,9 @@ def deviator_kernel(instance: AuctionInstance, i: int, mutation: str | None = No
     other survivors' cost denominators, computed once per deviator; a report
     ``z = p/q`` (a `Fraction` or an int) further scales money by ``q``. Then
     `decide` runs on Python ints, and ``i``'s payment and privacy loss divide
-    by ``M q`` into `Fraction`, the pipeline's value and type. Any other report
-    takes the same statements with ``M q = 1`` and ``/``, the pipeline's bits.
+    by ``M q`` into `Fraction`, the pipeline's value and type, whatever ``q``.
+    Any other report takes the same statements with ``M q = 1`` and ``/``,
+    the pipeline's bits; the two arithmetic paths keep separate steps.
     """
     name, factor = parse_mutation(mutation)
     rules = _MUTANT_RULES.get(name, _HONEST_RULES)
@@ -445,13 +462,14 @@ def deviator_kernel(instance: AuctionInstance, i: int, mutation: str | None = No
 
     alive, total = filter_survivors(instance, exempt=i)
     residual = total - w_i
+    if residual <= 0:  # no other survivor weight: i is filtered whatever it reports
+        return lambda z, true_cost: 0
     cap = budget * residual
     others = sorted((costs[j], j) for j in alive if j != i)
     other_wabs = [wabs[j] for _, j in others]
     other_costs = [c for c, _ in others]
     other_rows = [j for _, j in others]
-    own_zero = w_i * 0
-    first_zero = other_wabs[0] * 0 if others else own_zero
+    own_zero, first_zero = w_i * 0, other_wabs[0] * 0  # others is not empty: residual > 0
 
     exact = instance.exact
     if exact:
@@ -463,30 +481,31 @@ def deviator_kernel(instance: AuctionInstance, i: int, mutation: str | None = No
         [int_budget] = _scaled_ints([budget], scale_m)
         int_cap = int_budget * sum(int_wabs)  # B * (W' - |w_i|), scaled by M * E
 
-    def utility(z, true_cost):
-        if exact and type(z) in (Fraction, int):
-            # money scaled by M * q and weights by E, as the docstring explains
-            q = z.denominator
-            money, divide = scale_m * q, Fraction
-            own_w, own_cost, limit = int_w_i, z.numerator * scale_m, int_cap * q
-            ws, cs, scaled_budget = int_wabs.copy(), [c * q for c in int_costs], int_budget * q
-        else:
-            money, divide = 1, operator.truediv
-            own_w, own_cost, limit = w_i, z, cap
-            ws, cs, scaled_budget = other_wabs.copy(), other_costs.copy(), budget
-        if residual <= 0 or own_w * own_cost > limit:
-            return 0
-        # canonical order: by (cost, input row)
-        lo = bisect_left(cs, own_cost)
-        pos = bisect_left(other_rows, i, lo, bisect_right(cs, own_cost, lo))
-        zero = first_zero if pos else own_zero  # the pipeline's first-position weight * 0
-        ids = other_rows.copy()
+    slots = {}  # (integral, pos) -> weights with i inserted, w([pos + 1]), their total
+    steps = {}  # (integral, pos, verdict) -> [payment, eps, true_cost, utility]
+
+    def slot(integral: bool, pos: int, own_w):
+        ws = (int_wabs if integral else other_wabs).copy()
         ws.insert(pos, own_w)
+        through = reduce(operator.add, ws[: pos + 1], ws[0] * 0)  # decide's prefix[pos + 1]
+        return ws, through, sum(ws)
+
+    def step(integral: bool, q: int, pos: int, own_cost, ws, whole):
+        """``i``'s payment and privacy loss on one step, from one `decide` run."""
+        if integral:
+            cs = [c * q for c in int_costs]
+            scaled_budget, money, divide = int_budget * q, scale_m * q, Fraction
+        else:
+            cs = other_costs.copy()
+            scaled_budget, money, divide = budget, 1, operator.truediv
         cs.insert(pos, own_cost)
+        ids = other_rows.copy()
         ids.insert(pos, i)
-        k, i_star, r, p_hat, rate = decide(ws, cs, ids, scaled_budget, sum(ws), rules)
+        k, i_star, r, p_hat, rate = decide(ws, cs, ids, scaled_budget, whole, rules)
         if checked:
             check_single_winner(k, i_star, r)
+        own_w = ws[pos]
+        zero = first_zero if pos else own_zero  # the pipeline's first-position weight * 0
         if rate is None:
             selected = pos == i_star
             if not selected:
@@ -495,8 +514,7 @@ def deviator_kernel(instance: AuctionInstance, i: int, mutation: str | None = No
                 payment = budget
             else:
                 payment = divide(p_hat[0], p_hat[1] * money)
-            del ws[i_star]
-            unselected = ws
+            unselected = ws[:i_star] + ws[i_star + 1:]
         else:
             selected = pos < k
             if not selected:
@@ -513,7 +531,37 @@ def deviator_kernel(instance: AuctionInstance, i: int, mutation: str | None = No
             eps = math.inf if x_i else 0.0
         else:
             eps = divide(own_w * x_i, resid)
-        return payment - true_cost * eps
+        return payment, eps
+
+    def utility(z, true_cost):
+        integral = exact and type(z) in (Fraction, int)
+        if integral:
+            # money scaled by M * q and weights by E, as the docstring explains
+            q = z.denominator
+            own_w, own_cost, limit = int_w_i, z.numerator * scale_m, int_cap * q
+            # the others' costs scale by q too: the bisects multiply as they compare
+            scaled_budget, scaled_costs, scale = int_budget * q, int_costs, q.__mul__
+        else:
+            q, own_w, own_cost, limit = 1, w_i, z, cap
+            scaled_budget, scaled_costs, scale = budget, other_costs, None
+        if own_w * own_cost > limit:
+            return 0
+        lo = bisect_left(scaled_costs, own_cost, key=scale)
+        hi = bisect_right(scaled_costs, own_cost, lo, key=scale)
+        pos = bisect_left(other_rows, i, lo, hi)  # canonical order: by (cost, input row)
+        at = slots.get((integral, pos))
+        if at is None:
+            at = slots[integral, pos] = slot(integral, pos, own_w)
+        ws, through, whole = at
+        verdict = pos < len(others) and scaled_budget * (whole - through) >= own_cost * through
+        key = (integral, pos, verdict)
+        known = steps.get(key)
+        if known is None:
+            payment, eps = step(integral, q, pos, own_cost, ws, whole)
+            known = steps[key] = [payment, eps, true_cost, payment - true_cost * eps]
+        elif known[2] is not true_cost:
+            known[2:] = true_cost, known[0] - true_cost * known[1]
+        return known[3]
 
     return utility
 
@@ -695,8 +743,8 @@ def run_truthfulness_sweep(
     A correct mechanism yields zero failures; a mutated one (a spec from
     `MUTATIONS`) is expected to produce witnesses. In rational mode all
     comparisons are exact. Each instance takes about n^3 steps (n deviators,
-    about 3n reports each, O(n) per report), so ``n_range`` may not exceed
-    `TRUTHFUL_LIMIT`.
+    at most 2n mechanism runs of O(n) each, and about 3n reports of O(log n)
+    each), so ``n_range`` may not exceed `TRUTHFUL_LIMIT`.
     """
     parse_mutation(mutation)  # reject a bad spec before any worker starts
     if config.n_range[1] > TRUTHFUL_LIMIT:

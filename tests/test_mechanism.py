@@ -15,18 +15,36 @@ import privauction
 from privauction import (
     AuctionInstance,
     EmptyInstance,
-    NonUniformWeights,
     NotCanonical,
     ValueInterval,
     canonicalize,
     fair_inner_product,
     filter_assumption1,
-    ghosh_roth_special_case,
 )
-from privauction.mechanism import decide, prefix_length, star_wins, topk_rate
+from privauction.errors import PrivauctionError
+from privauction.mechanism import MechanismOutcome, decide, prefix_length, star_wins, topk_rate
 from privauction.verify import _MUTANT_RULES, hardness_instance, mechanism_under, parse_mutation
 
 from conftest import UNIT, make_instance
+
+
+class NonUniformWeights(PrivauctionError):
+    """Operation requires all weight magnitudes to be equal."""
+
+
+def ghosh_roth_special_case(instance: AuctionInstance) -> MechanismOutcome:
+    """Uniform-weight run; the selected set always equals the affordable prefix.
+
+    With equal magnitudes the single-winner branch can fire only at ``k = 1``
+    with the designated individual in first position, where the selected sets
+    coincide; the payment rule that actually fired is visible in ``branch``.
+    """
+    if not instance.has_uniform_weights:
+        raise NonUniformWeights("all weight magnitudes must be equal")
+    outcome = fair_inner_product(instance)
+    if set(outcome.selected) != set(range(outcome.k)):
+        raise AssertionError("uniform-weight selection differs from the affordable prefix")
+    return outcome
 
 
 def prepared(weights, costs, budget):

@@ -18,6 +18,7 @@ from privauction import (
     prepare,
 )
 from privauction import verify
+from privauction.instances import filter_survivors
 from privauction.verify import (
     MUTATIONS,
     SweepConfig,
@@ -479,6 +480,105 @@ class TestDeviatorKernel:
             with pytest.raises(EmptyInstance):
                 prepare(AuctionInstance(inst.weights, (z, 9.0), inst.budget, UNIT))
             assert kernel(z, 0.5) == 0
+
+
+def _neighbours(value, exact):
+    """``value`` and the nearest reports on either side: a tiny `Fraction` step, or one ulp."""
+    if exact:
+        step = Fraction(1, 10**9)
+        return value - step, value, value + step
+    return math.nextafter(value, -math.inf), value, math.nextafter(value, math.inf)
+
+
+def off_grid_reports(instance, i, rng):
+    """Nonnegative reports for ``i`` off its grid, in the instance's arithmetic.
+
+    Every other cost and its neighbours, 0, the survival threshold
+    ``B (W' - |w_i|) / |w_i|`` and its neighbours, and random values; an
+    exact instance also gets float reports, which take the kernel's other
+    arithmetic path.
+    """
+    exact = instance.exact
+    costs = instance.unit_costs
+    reports = [costs[i] * 0]
+    for j, cost in enumerate(costs):
+        if j != i:
+            reports += _neighbours(cost, exact)
+    _, total = filter_survivors(instance, exempt=i)
+    w_i = instance.abs_weights[i]
+    reports += _neighbours(instance.budget * (total - w_i) / w_i, exact)
+    top = 2 * max(costs) + 1
+    for _ in range(4):
+        if exact:
+            reports.append(Fraction(int(rng.integers(0, 1000)), int(rng.integers(1, 60))) * top / 500)
+        else:
+            reports.append(float(rng.uniform(0.0, 1.0)) * top)
+    if exact:
+        reports += [float(z) for z in reports[::3]] + [0.5]
+    return [z for z in reports if z >= 0]
+
+
+class TestKernelSteps:
+    """The kernel keeps one value per step, so results must not depend on call order."""
+
+    @pytest.mark.parametrize("mutation", MUTATION_SPECS)
+    @given(
+        instance=st.one_of(deviation_instances().map(lambda case: case[0]), non_dyadic_instances()),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_shuffled_reports_match_pipeline(self, mutation, instance, seed):
+        rng = np.random.default_rng(seed)
+        mechanism = mechanism_under(mutation)
+        for i in range(instance.n):
+            true_cost = instance.unit_costs[i]
+            kernel = deviator_kernel(instance, i, mutation)
+            reports = [*misreport_grid(instance.unit_costs, i), *off_grid_reports(instance, i, rng)]
+            # every report twice, under two different true costs
+            calls = [(z, cost) for z in reports for cost in (true_cost, 2 * true_cost + 1)]
+            for index in rng.permutation(len(calls)):
+                z, cost = calls[index]
+                reported = list(instance.unit_costs)
+                reported[i] = z
+                expected = _outcome(
+                    lambda: _deviation_utility(
+                        AuctionInstance(
+                            instance.weights, reported, instance.budget, instance.interval
+                        ),
+                        i, cost, mechanism,
+                    )
+                )
+                assert _outcome(lambda: kernel(z, cost)) == expected, (i, z, cost)
+
+    @pytest.mark.parametrize("fields", [
+        dict(),
+        dict(arithmetic_mode="rational", weight_distribution="integer-grid",
+             cost_distribution="integer-grid"),
+    ])
+    def test_at_most_two_mechanism_runs_per_slot(self, monkeypatch, fields):
+        config = SweepConfig(n_range=(2, 9), instance_count=40, rng_seed=31, **fields)
+        expected = run_truthfulness_sweep(config).to_json()
+        kernels = []  # [slots, decide calls, reports] per deviator
+        real_decide, real_kernel = verify.decide, verify.deviator_kernel
+
+        def counting_decide(*args):
+            kernels[-1][1] += 1
+            return real_decide(*args)
+
+        def counting_kernel(instance, i, mutation=None):
+            # i's slots: one before each other survivor, and one after them all
+            slots = len(filter_survivors(instance, exempt=i)[0])
+            kernels.append([slots, 0, len(misreport_grid(instance.unit_costs, i))])
+            return real_kernel(instance, i, mutation)
+
+        monkeypatch.setattr(verify, "decide", counting_decide)
+        monkeypatch.setattr(verify, "deviator_kernel", counting_kernel)
+        assert run_truthfulness_sweep(config).to_json() == expected
+        assert len(kernels) > 100
+        for slots, calls, reports in kernels:
+            assert calls <= 2 * slots, (slots, calls, reports)
+        # the grid is larger than the step count: the bound is the steps', not the grid's
+        assert sum(k[1] for k in kernels) < sum(k[2] for k in kernels) / 2
 
 
 class TestNanUtility:

@@ -35,6 +35,13 @@ whether the change kept its reports byte-identical. The families:
 - ``csv``: ``predictors.load_feature_csv`` (ids and matrix bytes, or the
   error message) on unquoted and quoted corpora: headers, id columns, blank
   lines, float spellings, ragged rows, non-numeric cells and empty files;
+- ``kernel``: ``verify.deviator_kernel`` utilities of every deviator, under
+  the honest mechanism and every entry of ``verify.MUTATIONS``, on float
+  signed/uniform, float integer-grid and rational integer-grid instances;
+  the reports are the misreport grid plus every other cost and its nearest
+  neighbours, 0, the survival threshold and its neighbours, random values
+  and, on rational instances, float reports, each under two true costs, in
+  a fixed shuffled order;
 - ``estimator``: on seeded float and `Fraction` instances, ``evaluate`` of
   `Lef`s (midpoint and arbitrary anchors) and `Dclef`s on in-range, corner,
   out-of-range and wrong-length databases, ``Dclef.to_json(rows, n)``,
@@ -42,7 +49,7 @@ whether the change kept its reports byte-identical. The families:
   ``privacy_index_exact``/``privacy_index_greedy`` and
   ``check_tradeoff_bound``.
 
-The whole run takes about a minute on a 2-core machine; ``--family`` picks
+The whole run takes about a minute and a half on a 2-core machine; ``--family`` picks
 some families only.
 """
 
@@ -50,6 +57,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import tempfile
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
@@ -136,6 +144,63 @@ def approximation():
 def criterion_3():
     for fields in CRITERION_3:
         yield _report_bytes(run_truthfulness_sweep(SweepConfig(**fields)))
+
+
+KERNEL_MIXES = [
+    dict(n_range=(2, 10), instance_count=80),
+    dict(n_range=(2, 8), instance_count=80, **INTEGER_GRID),
+    dict(n_range=(2, 8), instance_count=60, arithmetic_mode="rational", **INTEGER_GRID),
+]
+
+
+def _neighbours(value, exact: bool) -> list:
+    """``value`` and the nearest reports on either side: a tiny `Fraction` step, or one ulp."""
+    if exact:
+        return [value - Fraction(1, 10**9), value, value + Fraction(1, 10**9)]
+    return [math.nextafter(value, -math.inf), value, math.nextafter(value, math.inf)]
+
+
+def _kernel_reports(instance, i: int, rng) -> list:
+    """Deviator ``i``'s grid and nonnegative reports off it, in the instance's arithmetic."""
+    costs, exact = instance.unit_costs, instance.exact
+    reports = list(verify.misreport_grid(costs, i)) + [costs[i] * 0]
+    for j, cost in enumerate(costs):
+        if j != i:
+            reports += _neighbours(cost, exact)
+    _, total = filter_survivors(instance, exempt=i)
+    w_i = instance.abs_weights[i]
+    reports += _neighbours(instance.budget * (total - w_i) / w_i, exact)  # survival threshold
+    top = 2 * max(costs) + 1
+    for _ in range(4):
+        if exact:
+            reports.append(Fraction(int(rng.integers(0, 1000)), int(rng.integers(1, 60))) * top / 500)
+        else:
+            reports.append(float(rng.uniform(0.0, 1.0)) * top)
+    if exact:
+        reports += [float(z) for z in reports[::5]]
+    return [z for z in reports if z >= 0]
+
+
+def kernel():
+    rng = np.random.default_rng(43)
+    for mix in KERNEL_MIXES:
+        config = SweepConfig(**mix, rng_seed=43)
+        for index in range(config.instance_count):
+            instance = generate_instance(config, index)
+            out = []
+            for mutation in MUTATION_SPECS:
+                for i in range(instance.n):
+                    utility = verify.deviator_kernel(instance, i, mutation)
+                    true_cost = instance.unit_costs[i]
+                    calls = [
+                        (z, cost)
+                        for z in _kernel_reports(instance, i, rng)
+                        for cost in (true_cost, 2 * true_cost + 1)
+                    ]
+                    for at in rng.permutation(len(calls)).tolist():
+                        z, cost = calls[at]
+                        out.append(repr((z, cost)) + _outcome(lambda: utility(z, cost)))
+            yield "\n".join(out).encode() + b"\n"
 
 
 def _raw_instances(count: int):
@@ -501,6 +566,7 @@ FAMILIES = {
     "commands": commands,
     "prepare": prepare_family,
     "csv": csv_family,
+    "kernel": kernel,
     "estimator": estimator,
 }
 
