@@ -20,7 +20,6 @@ from .errors import (
     ParseError,
     PrivauctionError,
     SingularSystem,
-    UnboundedPrivacyLoss,
     ValidationError,
 )
 from .estimator import (

@@ -22,7 +22,10 @@ from .instances import (
 from .mechanism import fair_inner_product
 from .optimal import brute_force_opt, fractional_optimum
 from .predictors import FeatureSet, WeightSpec, build_instance, load_feature_csv
-from .verify import SweepConfig, run_approximation_sweep, run_truthfulness_sweep
+from .verify import (
+    SweepConfig, _check_approximation, _check_truthfulness, run_approximation_sweep,
+    run_truthfulness_sweep,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -168,6 +171,9 @@ def cmd_verify(config_path, mutate, seed, instances, arithmetic, threads, skip_a
     if isinstance(data, dict):  # anything else is rejected by from_json
         data.update((key, value) for key, value in overrides.items() if value is not None)
     config = SweepConfig.from_json(data)
+    _check_truthfulness(config, mutate)  # every sweep's limits, before any sweep starts
+    if not skip_approximation:
+        _check_approximation(config)
     truthfulness = run_truthfulness_sweep(config, mutation=mutate, threads=threads)
     reports = {"truthfulness": truthfulness.to_json()}
     approximation = None

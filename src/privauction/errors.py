@@ -21,10 +21,6 @@ class DimensionMismatch(PrivauctionError):
     """Vector lengths disagree with the instance size."""
 
 
-class UnboundedPrivacyLoss(PrivauctionError):
-    """Noise scale is zero while some data still enters the estimate."""
-
-
 class InstanceTooLarge(PrivauctionError):
     """Instance exceeds the size bound of an exhaustive computation."""
 

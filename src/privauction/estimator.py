@@ -19,13 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InstanceTooLarge,
-    ParameterOutOfRange,
-    UnboundedPrivacyLoss,
-    ValidationError,
-)
+from .errors import DimensionMismatch, InstanceTooLarge, ParameterOutOfRange, ValidationError
 from .instances import (
     AuctionInstance, Database, _check_database, _check_finite, _complement, _double, _json_float,
     _json_floats, scatter,
@@ -134,19 +128,16 @@ class Lef:
             anchors = repeat(self.instance.interval.midpoint())
         return _release_mean(self.instance.weights, entries, self.x, anchors)
 
-    def epsilons(self, strict: bool = False) -> tuple:
+    def epsilons(self) -> tuple:
         """Per-individual privacy losses ``delta * |w_i| * x_i / sigma``.
 
         With ``sigma == 0`` and some ``x_i > 0`` the loss is unbounded: the
-        affected entries get an explicit ``math.inf`` sentinel (never NaN),
-        or the condition raises when ``strict`` is set.
+        affected entries get an explicit ``math.inf`` sentinel (never NaN).
         """
         delta = self.instance.interval.delta()
         wabs = self.instance.abs_weights
         if self.sigma == 0:
             if any(xi > 0 for xi in self.x):
-                if strict:
-                    raise UnboundedPrivacyLoss("zero noise scale with exposed data entries")
                 return tuple(math.inf if xi > 0 else 0.0 for xi in self.x)
             return tuple(0.0 for _ in self.x)
         return tuple(delta * wabs[i] * self.x[i] / self.sigma for i in range(self.n))
@@ -209,10 +200,6 @@ class Dclef:
         return self.instance.n
 
     @cached_property
-    def selected(self) -> tuple[int, ...]:
-        return tuple(compress(range(self.n), self.x))
-
-    @cached_property
     def residual_weight(self):
         return sum(compress(self.instance.abs_weights, map(not_, self.x)))
 
@@ -220,20 +207,11 @@ class Dclef:
     def sigma(self):
         return self.instance.interval.delta() * self.residual_weight
 
-    @property
-    def is_degenerate(self) -> bool:
-        return all(self.x)
-
-    def as_lef(self) -> Lef:
-        return Lef(self.instance, tuple(float(xi) for xi in self.x), self.sigma)
-
-    def epsilons(self, strict: bool = False) -> tuple:
+    def epsilons(self) -> tuple:
         """Canonical losses ``|w_i| x_i / residual_weight`` (the delta cancels)."""
         wabs = self.instance.abs_weights
         resid = self.residual_weight
         if resid == 0:
-            if strict:
-                raise UnboundedPrivacyLoss("full participation leaves zero noise scale")
             return tuple(math.inf if xi else 0.0 for xi in self.x)
         return tuple(map(truediv, map(mul, wabs, self.x), repeat(resid)))
 
@@ -243,7 +221,7 @@ class Dclef:
         return 9 * base * base / 4
 
     def deterministic_part(self, database) -> float:
-        """`Lef.deterministic_part` of `as_lef`: the same float products, without the `Lef`."""
+        """The float products of `Lef.deterministic_part` with float ``x``, without a `Lef`."""
         _check_finite(self.sigma, "noise scale")  # as the Lef would
         entries = _entries_for(self, database)
         x = list(map(float, self.x))

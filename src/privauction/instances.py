@@ -212,13 +212,6 @@ class AuctionInstance:
         """The filter's first round, who fails at the full total; see `filter_survivors`."""
         return _round_violators(self, range(self.n), self.total_weight)
 
-    @cached_property
-    def _peel_order(self) -> list:
-        """Indices by descending ``|w_i| * (v_i + B)``, the order `filter_survivors` peels in."""
-        shifted = map(operator.add, self.unit_costs, repeat(self.budget))
-        keys = list(map(operator.mul, self.abs_weights, shifted))
-        return sorted(range(self.n), key=keys.__getitem__, reverse=True)
-
     def to_json(self) -> dict:
         return {
             "weights": _json_floats(self.weights),
@@ -283,12 +276,7 @@ def _fails(w, cost, budget, total) -> bool:
 def _round_violators(instance: AuctionInstance, alive, total, exempt=None) -> list:
     """One simultaneous round: the members of ``alive`` but ``exempt`` that fail at ``total``."""
     budget, wabs, costs = instance.budget, instance.abs_weights, instance.unit_costs
-    return [
-        i
-        for i in alive
-        if i != exempt
-        and (total - wabs[i] <= 0 or wabs[i] * costs[i] > budget * (total - wabs[i]))
-    ]
+    return [i for i in alive if i != exempt and _fails(wabs[i], costs[i], budget, total)]
 
 
 def filter_survivors(
@@ -306,14 +294,14 @@ def filter_survivors(
     - Exact round: test everyone against the exact ``T``. On a filter-stable
       instance this first round finds nobody, and that is all the work.
     - Peel: an individual fails about when its key ``|w_i| * (v_i + B)``
-      exceeds ``B * T``. So, from the top key down (the order is sorted once
-      per instance), individuals are removed while they fail the rounds' own
-      test against an upper bound of the current ``T``: the last exact total
-      minus every weight removed since, plus ``4 n`` ulps of that total when
-      it is a float, which covers every rounding of the sums and the
-      subtractions. An exact (int or `Fraction`) total needs no slack. Then
-      the next exact round runs on the new exact total; usually it finds
-      nobody.
+      exceeds ``B * T``. So, from the top key down (the keys are sorted once
+      per call, when the first round finds someone), individuals are removed
+      while they fail the rounds' own test against an upper bound of the
+      current ``T``: the last exact total minus every weight removed since,
+      plus ``4 n`` ulps of that total when it is a float, which covers every
+      rounding of the sums and the subtractions. An exact (int or `Fraction`)
+      total needs no slack. Then the next exact round runs on the new exact
+      total; usually it finds nobody.
 
     Why the survivors are the rounds' own: adding a non-negative term,
     rounded or exact, never lowers a sum, so the input-order sum of a subset
@@ -327,23 +315,27 @@ def filter_survivors(
     still all pass at their total, but may not be the rounds' own.)
 
     The individual ``exempt`` skips its own test and so stays alive; the
-    others' tests never read its cost. The first round and the key order are
-    cached on the instance: the first round with an exemption is the one
-    without, less the exempt individual. So `verify.deviator_kernel`, which
-    filters once per deviator, pays one round per instance, and a peel per
-    deviator only where someone fails.
+    others' tests never read its cost. Only the first round is cached on the
+    instance: the first round with an exemption is the one without, less the
+    exempt individual. So `verify.deviator_kernel`, which filters once per
+    deviator, pays one round per instance, and a sort and a peel per deviator
+    only where someone fails.
     """
     budget, wabs, costs = instance.budget, instance.abs_weights, instance.unit_costs
     n = instance.n
     alive, total = list(range(n)), instance.total_weight
     violators = [i for i in instance._first_round if i != exempt]
+    if not violators:
+        return alive, total
+    keys = list(map(operator.mul, wabs, map(operator.add, costs, repeat(budget))))
+    peel_order = sorted(range(n), key=keys.__getitem__, reverse=True)
     live = bytearray(b"\x01") * n
     while violators:
         bound = total + (4 * len(alive) * math.ulp(total) if isinstance(total, float) else 0)
         for i in violators:
             live[i] = 0
             bound -= wabs[i]
-        for i in instance._peel_order:
+        for i in peel_order:
             if live[i] and i != exempt:
                 if not _fails(wabs[i], costs[i], budget, bound):
                     break
@@ -506,8 +498,7 @@ def parse_database(data: dict, instance: AuctionInstance) -> Database | None:
         raise ValidationError(
             f"database length {len(entries)} does not match instance size {instance.n}"
         )
-    _check_database(entries, instance.interval)
-    return Database(entries)
+    return Database.from_values(entries, instance.interval)
 
 
 def _read_text(source) -> str:

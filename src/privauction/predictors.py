@@ -335,12 +335,6 @@ def load_feature_csv(source, id_column: bool = False) -> tuple[list[str] | None,
     width = len(rows[0])
     if width < 1:
         raise ParseError("feature CSV has no feature columns")
-    try:
-        # numpy converts each str cell with float(), as the loop below does;
-        # a bad cell or a ragged row raises ValueError
-        return ids, np.array(rows, dtype=np.float64)
-    except ValueError:
-        pass  # the loop below names the first offending row or cell
     matrix = np.empty((len(rows), width))
     for i, row in enumerate(rows):
         if len(row) != width:

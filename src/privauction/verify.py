@@ -20,8 +20,8 @@ survivors fixed, a step is named by ``i``'s insertion slot among them and,
 on that slot, the verdict of the prefix rule's own test on ``i``'s cost. The
 mechanism runs once per step a deviator reaches, at most twice per slot, so
 O(n) times at O(n) each; every other report costs two bisects and one
-comparison. The result is bit for bit the pipeline's (`_deviation_utility`,
-kept as the reference).
+comparison. The result is bit for bit the pipeline's; the pipeline reference,
+`_deviation_utility`, lives in ``tests/test_verify.py``.
 
 Float and rational mode run the same code. Rational mode's instances are
 exact (`AuctionInstance.exact`), so the misreport grid takes exact factors
@@ -152,8 +152,8 @@ def _parse_budget_rule(rule: str) -> tuple[float, float]:
         lo, hi = (float(part) for part in arg.split(","))
     except ValueError as exc:
         raise ValidationError(f"budget rule {rule!r} needs 'scaled:lo,hi'") from exc
-    if not 0 < lo <= hi:
-        raise ValidationError("scaled budget rule needs 0 < lo <= hi")
+    if not 0 < lo <= hi < math.inf:  # an infinite bound would overflow the budget draw
+        raise ValidationError("scaled budget rule needs finite 0 < lo <= hi")
     return lo, hi
 
 
@@ -388,32 +388,14 @@ def mechanism_under(mutation: str | None):
 
 # --- per-instance checks ----------------------------------------------------
 
-def _deviation_utility(reported_instance, i: int, true_cost, mechanism):
-    """Utility of individual ``i`` under the deployed filter-then-run pipeline.
-
-    A report that violates the affordability condition gets the deviator
-    filtered out: no payment, no exposure, zero utility. The input rows are
-    passed as the identity labels so weight ties break by the pre-report
-    labeling. This is the reference that `deviator_kernel` reproduces.
-    """
-    try:
-        canonical, rows, removed = prepare(reported_instance)
-    except EmptyInstance:
-        return 0
-    if i in removed:
-        return 0
-    outcome = mechanism(canonical, identity=rows)
-    position = rows.index(i)
-    return outcome.payments[position] - true_cost * outcome.dclef.epsilons()[position]
-
-
 def deviator_kernel(instance: AuctionInstance, i: int, mutation: str | None = None):
     """Individual ``i``'s utility as a function of its report, one mechanism run per step.
 
-    Returns ``utility(z, true_cost)``, equal bit for bit to `_deviation_utility`
-    on ``instance`` with ``i``'s cost replaced by ``z``, under
-    ``mechanism_under(mutation)``, with no instance, estimator or outcome
-    built.
+    Returns ``utility(z, true_cost)``, equal bit for bit to the utility of
+    ``i`` under the filter-sort-mechanism pipeline on ``instance`` with
+    ``i``'s cost replaced by ``z``, under ``mechanism_under(mutation)``, with
+    no instance, estimator or outcome built. The pipeline reference,
+    `_deviation_utility`, lives in ``tests/test_verify.py``.
 
     Filter once: while ``i`` is alive, every other individual's filter test
     reads only its own cost and the survivor total, never ``z``. So the
@@ -735,6 +717,21 @@ def _sweep(name: str, worker, config: SweepConfig, threads: int) -> Verification
     return report
 
 
+def _check_truthfulness(config: SweepConfig, mutation: str | None) -> None:
+    """Reject a bad mutation spec, or an ``n_range`` beyond `TRUTHFUL_LIMIT`, before any work."""
+    parse_mutation(mutation)
+    if config.n_range[1] > TRUTHFUL_LIMIT:
+        raise ValidationError(f"truthfulness sweep needs n_range within {TRUTHFUL_LIMIT}")
+
+
+def _check_approximation(config: SweepConfig) -> None:
+    """Reject an ``n_range`` beyond the exact oracle's `ORACLE_LIMIT`, before any work."""
+    if config.n_range[1] > ORACLE_LIMIT:
+        raise ValidationError(
+            f"approximation sweep needs n_range within the oracle bound {ORACLE_LIMIT}"
+        )
+
+
 def run_truthfulness_sweep(
     config: SweepConfig, mutation: str | None = None, threads: int = 1
 ) -> VerificationReport:
@@ -746,17 +743,12 @@ def run_truthfulness_sweep(
     at most 2n mechanism runs of O(n) each, and about 3n reports of O(log n)
     each), so ``n_range`` may not exceed `TRUTHFUL_LIMIT`.
     """
-    parse_mutation(mutation)  # reject a bad spec before any worker starts
-    if config.n_range[1] > TRUTHFUL_LIMIT:
-        raise ValidationError(f"truthfulness sweep needs n_range within {TRUTHFUL_LIMIT}")
+    _check_truthfulness(config, mutation)
     worker = partial(_truthfulness_record, config, mutation=mutation)
     return _sweep("truthfulness", worker, config, threads)
 
 
 def run_approximation_sweep(config: SweepConfig, threads: int = 1) -> VerificationReport:
     """Oracle-vs-mechanism ratio plus relaxation consistency over the stream."""
-    if config.n_range[1] > ORACLE_LIMIT:
-        raise ValidationError(
-            f"approximation sweep needs n_range within the oracle bound {ORACLE_LIMIT}"
-        )
+    _check_approximation(config)
     return _sweep("approximation", partial(_approximation_record, config), config, threads)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from privauction import AuctionInstance, ValueInterval
+from privauction import AuctionInstance, Dclef, Lef, ValueInterval
 from privauction.verify import hardness_instance
 
 UNIT = ValueInterval(0.0, 1.0)
@@ -37,3 +37,8 @@ def make_instance(weights, costs, budget, interval=UNIT) -> AuctionInstance:
         float(budget),
         interval,
     )
+
+
+def as_lef(dclef: Dclef) -> Lef:
+    """The general estimator a `Dclef` stands for: float ``x`` and the same noise scale."""
+    return Lef(dclef.instance, tuple(float(xi) for xi in dclef.x), dclef.sigma)

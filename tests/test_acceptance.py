@@ -37,6 +37,8 @@ from privauction.verify import (
     run_truthfulness_sweep,
 )
 
+from conftest import as_lef
+
 UNIT = ValueInterval(0.0, 1.0)
 MASTER_SEED = 20260808
 
@@ -277,7 +279,7 @@ def test_criterion_7_differential_privacy():
                 value += w2[i] * e2 * x[i] + w2[i] * (1 - x[i])
             table[mask] = value
         eps = d.epsilons()
-        lef_eps = d.as_lef().epsilons()
+        lef_eps = as_lef(d).epsilons()
         for i in range(n):
             worst4 = max(
                 abs(table[mask] - table[mask ^ (1 << i)]) for mask in range(1 << n)

@@ -265,6 +265,46 @@ class TestVerify:
             "error": "ValidationError", "message": "unknown budget rule 'fixed:1'"
         }
 
+    @pytest.mark.parametrize("rule", ["scaled:1,inf", "scaled:inf,inf"])
+    def test_non_finite_budget_rule_exit_1(self, runner, tmp_path, rule):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"budget_rule": rule, "instance_count": 2}))
+        result = runner.invoke(main, ["verify", str(cfg)])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert json.loads(result.stderr) == {
+            "error": "ValidationError", "message": "scaled budget rule needs finite 0 < lo <= hi"
+        }
+
+    def test_every_limit_checked_before_any_sweep(self, runner, tmp_path, monkeypatch):
+        from privauction import verify
+
+        def no_record(*args, **kwargs):
+            raise AssertionError("the truthfulness sweep ran")
+
+        monkeypatch.setattr(verify, "_truthfulness_record", no_record)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_range": [2, 40], "instance_count": 300}))
+        result = runner.invoke(main, ["verify", str(cfg)])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert json.loads(result.stderr) == {
+            "error": "ValidationError",
+            "message": "approximation sweep needs n_range within the oracle bound 20",
+        }
+        result = runner.invoke(main, ["verify", str(cfg), "--skip-approximation", "--mutate", "x"])
+        assert result.exit_code == 1
+        assert json.loads(result.stderr)["message"].startswith("unknown mutation 'x'")
+
+    def test_skip_approximation_runs_beyond_oracle_bound(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_range": [21, 24], "instance_count": 2, "rng_seed": 5}))
+        result = runner.invoke(main, ["verify", str(cfg), "--skip-approximation"])
+        assert result.exit_code == 0, result.output
+        reports = json.loads(result.stdout)["reports"]
+        assert list(reports) == ["truthfulness"]
+        assert reports["truthfulness"]["instances_run"] == 2
+
     @pytest.mark.parametrize(
         "config",
         [

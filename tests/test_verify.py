@@ -22,7 +22,6 @@ from privauction.instances import filter_survivors
 from privauction.verify import (
     MUTATIONS,
     SweepConfig,
-    _deviation_utility,
     _truthfulness_record,
     deviator_kernel,
     generate_instance,
@@ -34,6 +33,25 @@ from privauction.verify import (
 )
 
 from conftest import UNIT
+
+
+def _deviation_utility(reported_instance, i: int, true_cost, mechanism):
+    """Utility of individual ``i`` under the deployed filter-then-run pipeline.
+
+    A report that violates the affordability condition gets the deviator
+    filtered out: no payment, no exposure, zero utility. The input rows are
+    passed as the identity labels so weight ties break by the pre-report
+    labeling. This is the reference that `deviator_kernel` reproduces.
+    """
+    try:
+        canonical, rows, removed = prepare(reported_instance)
+    except EmptyInstance:
+        return 0
+    if i in removed:
+        return 0
+    outcome = mechanism(canonical, identity=rows)
+    position = rows.index(i)
+    return outcome.payments[position] - true_cost * outcome.dclef.epsilons()[position]
 
 
 def reference_misreport_grid(costs, i):
@@ -109,6 +127,9 @@ class TestSweepConfig:
             SweepConfig(budget_rule="nope")
         with pytest.raises(ValidationError, match="unknown budget rule 'fixed:1'"):
             SweepConfig(budget_rule="fixed:1")
+        for rule in ("scaled:1,inf", "scaled:inf,inf", "scaled:-inf,1", "scaled:nan,1"):
+            with pytest.raises(ValidationError, match="finite 0 < lo <= hi"):
+                SweepConfig(budget_rule=rule)
         with pytest.raises(ValidationError):
             SweepConfig(arithmetic_mode="rational")  # needs integer grids
 
