@@ -1,16 +1,18 @@
 """Command-line front end: ingestion, weight derivation, auction runs, verification.
 
-Exit codes are a stable contract: 0 success, 1 input problem, 2 empty
-instance after filtering, 3 property failure. stdout carries only the report;
-diagnostics and machine-readable error JSON go to stderr. All randomness
-flows from --seed. Every report names individuals by their row in the input
-file, through the row map of `instances.prepare`.
+Exit codes are a stable contract: 0 success, 1 input problem (a malformed
+command line too), 2 empty instance after filtering, 3 property failure.
+stdout carries only the report; diagnostics and machine-readable error JSON
+go to stderr. All randomness flows from --seed. Every report names
+individuals by their row in the input file, through the row map of
+`instances.prepare`.
 """
 
 import csv
 import io
 import json
 import sys
+from contextlib import contextmanager
 
 import click
 
@@ -81,21 +83,40 @@ def _fail(code: int, error: Exception) -> None:
     sys.exit(code)
 
 
-class _Commands(click.Group):
-    """The command group; it maps every command's errors onto the exit codes.
+@contextmanager
+def _exit_codes():
+    """Map the errors raised inside onto the exit codes.
 
+    A malformed command line (an unknown command or option, a bad option
+    value, a missing argument) exits 1 as a UsageError, with click's message.
     An empty instance exits 2 and any other package error 1. A ValueError is
     a malformed value in the input (a number on the command line, a file that
     is not UTF-8) and exits 1 as a ValidationError.
     """
+    try:
+        yield
+    except click.UsageError as exc:
+        _fail(EXIT_INPUT, click.UsageError(exc.format_message()))
+    except PrivauctionError as exc:
+        _fail(EXIT_EMPTY if isinstance(exc, EmptyInstance) else EXIT_INPUT, exc)
+    except ValueError as exc:
+        _fail(EXIT_INPUT, ValidationError(str(exc)))
+
+
+class _Commands(click.Group):
+    """The command group; it maps its own and every command's errors onto the exit codes.
+
+    The group's options are parsed in `parse_args`; the command name and the
+    command's own line are parsed, and the command runs, in `invoke`.
+    """
+
+    def parse_args(self, ctx, args):
+        with _exit_codes():
+            return super().parse_args(ctx, args)
 
     def invoke(self, ctx):
-        try:
+        with _exit_codes():
             return super().invoke(ctx)
-        except PrivauctionError as exc:
-            _fail(EXIT_EMPTY if isinstance(exc, EmptyInstance) else EXIT_INPUT, exc)
-        except ValueError as exc:
-            _fail(EXIT_INPUT, ValidationError(str(exc)))
 
 
 def _load(path, arithmetic: str):
@@ -113,7 +134,7 @@ def _load(path, arithmetic: str):
     return instance, canonical, rows, removed, database
 
 
-@click.group(cls=_Commands)
+@click.group(cls=_Commands, no_args_is_help=False)
 def main() -> None:
     """Privacy auctions for weighted linear predictors."""
 
@@ -161,7 +182,7 @@ def cmd_run(instance_path, compare_opt, use_database, seed, output, arithmetic):
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
 @click.option("--instances", type=int, default=None, help="Override the instance count.")
 @click.option("--arithmetic", type=click.Choice(["float", "rational"]), default=None, help="Override the config arithmetic mode.")
-@click.option("--threads", type=int, default=1, show_default=True, help="Worker processes, capped at the CPU count.")
+@click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True, help="Worker processes, capped at the CPU count.")
 @click.option("--skip-approximation", is_flag=True, help="Run only the truthfulness sweep.")
 @click.option("--output", type=click.Choice(["json", "csv"]), default="json", show_default=True)
 def cmd_verify(config_path, mutate, seed, instances, arithmetic, threads, skip_approximation, output):
@@ -209,26 +230,25 @@ def cmd_verify(config_path, mutate, seed, instances, arithmetic, threads, skip_a
 def cmd_weights(features_csv, query, query_csv, method, k, kernel, bandwidth, lam,
                 drop_tol, id_column, costs, budget, r_min, r_max, output):
     """Derive predictor weights from feature data; optionally emit a full instance."""
-    _, matrix = load_feature_csv(features_csv, id_column=id_column)
+    # every option is checked before any file is read
     if (query is None) == (query_csv is None):
         raise ValidationError("provide exactly one of --query or --query-csv")
-    if query is not None:
-        query_vector = list(map(float, query.split(",")))
-    else:
+    if (costs is None) != (budget is None):
+        raise ValidationError("--costs and --budget must be given together")
+    query_vector = None if query is None else list(map(float, query.split(",")))
+    cost_values = None if costs is None else list(map(float, costs.split(",")))
+    spec = WeightSpec(
+        method=method, k=k, kernel=kernel, bandwidth=bandwidth, lam=lam, drop_tol=drop_tol
+    )
+    _, matrix = load_feature_csv(features_csv, id_column=id_column)
+    if query_vector is None:
         _, query_matrix = load_feature_csv(query_csv, id_column=False)
         if query_matrix.shape[0] != 1:
             raise ValidationError("query CSV must contain exactly one row")
         query_vector = list(query_matrix[0])
-    features = FeatureSet(matrix, query_vector)
-    spec = WeightSpec(
-        method=method, k=k, kernel=kernel, bandwidth=bandwidth, lam=lam, drop_tol=drop_tol
-    )
-    derived = spec.derive(features)
+    derived = spec.derive(FeatureSet(matrix, query_vector))
     report = derived.to_json()
-    if (costs is None) != (budget is None):
-        raise ValidationError("--costs and --budget must be given together")
-    if costs is not None:
-        cost_values = list(map(float, costs.split(",")))
+    if cost_values is not None:
         instance = build_instance(derived, cost_values, budget, ValueInterval(r_min, r_max))
         report.update(instance.to_json())
     _emit(output, report, derived.csv_rows)

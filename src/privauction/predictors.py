@@ -15,7 +15,6 @@ from operator import methodcaller
 from typing import Sequence
 
 import numpy as np
-from scipy import linalg as sla
 
 from .errors import (
     DegenerateKernelMass,
@@ -182,11 +181,18 @@ def nadaraya_watson_weights(
 
 
 def _spd_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``matrix @ x = rhs`` once a Cholesky factorization shows ``matrix`` positive definite.
+
+    The factorization does not reject non-finite entries itself, so they are
+    checked first.
+    """
+    if not (np.all(np.isfinite(matrix)) and np.all(np.isfinite(rhs))):
+        raise ValidationError("array must not contain infs or NaNs")
     try:
-        factor = sla.cho_factor(matrix, lower=True)
+        np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"system is not positive definite: {exc}") from exc
-    return sla.cho_solve(factor, rhs)
+    return np.linalg.solve(matrix, rhs)
 
 
 def ridge_weights(
@@ -194,9 +200,9 @@ def ridge_weights(
 ) -> DerivedWeights:
     """Weights of the regularized least-squares prediction at the query.
 
-    Computed through a symmetric positive-definite solve of the regularized
-    normal equations; the matrix is never inverted explicitly. Weights may be
-    negative.
+    A Cholesky factorization decides that the regularized normal equations
+    are positive definite, then `numpy.linalg.solve` solves them; the matrix
+    is never inverted explicitly. Weights may be negative.
     """
     if not lam > 0:
         raise ValidationError("regularization strength must be positive")
@@ -215,8 +221,10 @@ def kernel_regression_weights(
     """Weights of the regularized kernel prediction at the query.
 
     Warns (IllConditionedWarning) when the regularized kernel matrix's
-    condition number exceeds 1e12; fails loudly rather than falling back to a
-    pseudo-inverse when the system is not positive definite.
+    condition number exceeds 1e12. A Cholesky factorization decides that the
+    system is positive definite, then `numpy.linalg.solve` solves it; a
+    system that is not fails loudly (SingularSystem) rather than falling back
+    to a pseudo-inverse.
     """
     if not lam > 0:
         raise ValidationError("regularization strength must be positive")
@@ -234,7 +242,12 @@ def kernel_regression_weights(
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Parsed method selection used by the command-line front end."""
+    """Parsed method selection used by the command-line front end.
+
+    Construction rejects every option error (a missing ``k`` or ``lam``, an
+    unknown method or kernel, a bandwidth that is not positive), so `derive`
+    only dispatches.
+    """
 
     method: str  # "knn" | "nadaraya-watson" | "ridge" | "kernel-regression"
     k: int | None = None
@@ -246,6 +259,20 @@ class WeightSpec:
     def __post_init__(self) -> None:
         if not 0 <= self.drop_tol < 1:  # also rejects NaN: a tolerance of 1 drops every weight
             raise ValidationError("drop tolerance must lie in [0, 1)")
+        if self.method == "knn":
+            if self.k is None:
+                raise ValidationError("knn requires k")
+        elif self.method == "ridge":
+            if self.lam is None:
+                raise ValidationError("ridge requires a regularization strength")
+        elif self.method == "kernel-regression":
+            if self.lam is None:
+                raise ValidationError("kernel regression requires a regularization strength")
+            self._kernel()
+        elif self.method == "nadaraya-watson":
+            self._kernel()
+        else:
+            raise ValidationError(f"unknown weight method {self.method!r}")
 
     def _kernel(self) -> GaussianKernel | LinearKernel:
         if self.kernel == "gaussian":
@@ -256,20 +283,12 @@ class WeightSpec:
 
     def derive(self, features: FeatureSet) -> DerivedWeights:
         if self.method == "knn":
-            if self.k is None:
-                raise ValidationError("knn requires k")
             return knn_weights(features, self.k, self.drop_tol)
         if self.method == "nadaraya-watson":
             return nadaraya_watson_weights(features, self._kernel(), self.drop_tol)
         if self.method == "ridge":
-            if self.lam is None:
-                raise ValidationError("ridge requires a regularization strength")
             return ridge_weights(features, self.lam, self.drop_tol)
-        if self.method == "kernel-regression":
-            if self.lam is None:
-                raise ValidationError("kernel regression requires a regularization strength")
-            return kernel_regression_weights(features, self._kernel(), self.lam, self.drop_tol)
-        raise ValidationError(f"unknown weight method {self.method!r}")
+        return kernel_regression_weights(features, self._kernel(), self.lam, self.drop_tol)
 
 
 def _parse_float(cell: str) -> float | None:

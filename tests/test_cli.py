@@ -2,13 +2,17 @@ import csv
 import io
 import json
 import math
-from contextlib import redirect_stdout
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from privauction import cli
 from privauction.cli import _emit_json, main
 
 
@@ -405,6 +409,18 @@ class TestWeights:
             "error": "ValidationError", "message": "kernel similarity is negative at index 2"
         }
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+    def test_overflowing_normal_equations_exit_1(self, runner, tmp_path):
+        feats = tmp_path / "f.csv"
+        feats.write_text("1e200,1\n1,1e200\n1e200,1e200\n")  # the normal equations overflow
+        result = runner.invoke(
+            main, ["weights", str(feats), "--method", "ridge", "--lam", "1", "--query", "1,1"]
+        )
+        assert result.exit_code == 1
+        assert result.stderr == (
+            '{"error": "ValidationError", "message": "array must not contain infs or NaNs"}\n'
+        )
+
     def test_query_csv(self, runner, tmp_path):
         feats = tmp_path / "f.csv"
         feats.write_text("0,0\n1,1\n")
@@ -743,3 +759,89 @@ class TestWeightsOptions:
         ])
         assert result.exit_code == 0
         assert json.loads(result.stdout)["weights"] == [0.5, 0.5]
+
+    @pytest.mark.parametrize("args, message", [
+        (["--method", "knn", "--query", "1"], "knn requires k"),
+        (["--method", "ridge", "--query", "1"], "ridge requires a regularization strength"),
+        (["--method", "kernel-regression", "--query", "1"],
+         "kernel regression requires a regularization strength"),
+        (["--method", "nadaraya-watson", "--bandwidth", "0", "--query", "1"],
+         "bandwidth must be positive"),
+        (["--method", "knn", "--k", "1"], "provide exactly one of --query or --query-csv"),
+        (["--method", "knn", "--k", "1", "--query", "1", "--query-csv", "q.csv"],
+         "provide exactly one of --query or --query-csv"),
+        (["--method", "knn", "--k", "1", "--query", "1", "--costs", "1"],
+         "--costs and --budget must be given together"),
+        (["--method", "kernel-regression", "--lam", "1", "--query", "1", "--budget", "1"],
+         "--costs and --budget must be given together"),
+        (["--method", "knn", "--k", "1", "--query", "1,x"], "could not convert string to float: 'x'"),
+        (["--method", "knn", "--k", "1", "--query", "1", "--costs", "1,x", "--budget", "1"],
+         "could not convert string to float: 'x'"),
+        (["--method", "knn", "--k", "1", "--query", "1", "--drop-tol", "2"],
+         "drop tolerance must lie in [0, 1)"),
+    ])
+    def test_option_error_before_any_file_read(self, runner, monkeypatch, args, message):
+        def no_read(*args, **kwargs):
+            raise AssertionError("a file was read before the options were checked")
+
+        monkeypatch.setattr(cli, "load_feature_csv", no_read)
+        result = runner.invoke(main, ["weights", "missing.csv", *args])
+        assert result.exit_code == 1
+        assert json.loads(result.stderr) == {"error": "ValidationError", "message": message}
+
+
+USAGE_ERRORS = [
+    (["run", "x.json", "--output", "xml"], "Invalid value for '--output'"),
+    (["run", "--seed", "abc", "x.json"], "Invalid value for '--seed'"),
+    (["run"], "Missing argument 'INSTANCE_PATH'"),
+    (["run", "x.json", "--bogus"], "No such option '--bogus'"),
+    (["verify", "--threads", "x"], "Invalid value for '--threads'"),
+    (["verify", "--threads", "0"], "Invalid value for '--threads': 0 is not in the range"),
+    (["verify", "--threads", "-3"], "Invalid value for '--threads': -3 is not in the range"),
+    (["weights", "f.csv", "--method", "nope"], "Invalid value for '--method'"),
+    (["bogus"], "No such command 'bogus'"),
+    (["--bogus"], "No such option '--bogus'"),
+    ([], "Missing command"),
+]
+
+
+class TestUsageErrors:
+    """A malformed command line exits 1 with error JSON, never 2 (an empty instance)."""
+
+    @staticmethod
+    def _check(code, stderr, message):
+        assert code == 1
+        error = json.loads(stderr)
+        assert error["error"] == "UsageError"
+        assert error["message"].startswith(message)
+
+    @pytest.mark.parametrize("args, message", USAGE_ERRORS)
+    def test_standalone(self, runner, args, message):
+        result = runner.invoke(main, args)
+        self._check(result.exit_code, result.stderr, message)
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("args, message", USAGE_ERRORS)
+    def test_embedded(self, args, message):
+        # perfbench and tools/report_digest.py call the CLI with standalone_mode=False
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exit_info:
+            main.main(args, prog_name="privauction", standalone_mode=False)
+        self._check(exit_info.value.code, err.getvalue(), message)
+        assert out.getvalue() == ""
+
+    @pytest.mark.parametrize("args", [["--help"], ["run", "--help"], ["verify", "--help"]])
+    def test_help_exits_0(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert result.stdout.startswith("Usage: ")
+
+
+def test_cli_import_loads_no_scipy():
+    probe = "import sys, privauction.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    completed = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert completed.stdout == "[]\n"

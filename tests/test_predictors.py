@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,11 +23,12 @@ from privauction import (
     nadaraya_watson_weights,
     ridge_weights,
 )
-from privauction.errors import IllConditionedWarning, ParseError
+from privauction.errors import IllConditionedWarning, ParseError, SingularSystem
 from privauction.predictors import (
     DROP_TOLERANCE,
     DerivedWeights,
     _drop_negligible,
+    _spd_solve,
     build_instance,
     load_feature_csv,
 )
@@ -270,6 +272,13 @@ class TestRidge:
         assert via_weights == pytest.approx(textbook, rel=1e-8)
 
 
+class TestSpdSolve:
+    def test_indefinite_matrix_raises_singular_system(self):
+        matrix = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
+        with pytest.raises(SingularSystem, match="^system is not positive definite: "):
+            _spd_solve(matrix, np.ones(2))
+
+
 class TestKernelRegression:
     def test_linear_kernel_matches_ridge(self):
         rng = np.random.default_rng(4)
@@ -336,6 +345,26 @@ class TestWeightSpec:
             WeightSpec("ridge").derive(fs)
         with pytest.raises(ValidationError):
             WeightSpec("nope").derive(fs)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"method": "knn"}, "knn requires k"),
+        ({"method": "ridge"}, "ridge requires a regularization strength"),
+        ({"method": "kernel-regression"}, "kernel regression requires a regularization strength"),
+        ({"method": "nope"}, "unknown weight method 'nope'"),
+        ({"method": "nadaraya-watson", "kernel": "cosine"}, "unknown kernel 'cosine'"),
+        ({"method": "kernel-regression", "lam": 1.0, "kernel": "cosine"}, "unknown kernel 'cosine'"),
+        ({"method": "nadaraya-watson", "bandwidth": 0.0}, "bandwidth must be positive"),
+        ({"method": "kernel-regression", "lam": 1.0, "bandwidth": math.nan},
+         "bandwidth must be positive"),
+    ])
+    def test_option_errors_raise_at_construction(self, fields, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            WeightSpec(**fields)
+
+    def test_unused_options_are_not_checked(self):
+        # the bandwidth and kernel name only matter to the methods that build a kernel
+        assert WeightSpec("ridge", lam=1.0, kernel="cosine", bandwidth=-1.0).lam == 1.0
+        assert WeightSpec("knn", k=1, bandwidth=0.0).k == 1
 
 
 class TestFeatureCsv:
