@@ -15,6 +15,7 @@ import sys
 from contextlib import contextmanager
 
 import click
+import numpy as np
 
 from .errors import DegenerateAllOnes, EmptyInstance, PrivauctionError, ValidationError
 from .estimator import evaluate
@@ -246,7 +247,10 @@ def cmd_weights(features_csv, query, query_csv, method, k, kernel, bandwidth, la
         if query_matrix.shape[0] != 1:
             raise ValidationError("query CSV must contain exactly one row")
         query_vector = list(query_matrix[0])
-    derived = spec.derive(FeatureSet(matrix, query_vector))
+    # overflow reads as inf or NaN and fails a check; numpy's warning would
+    # print before the error JSON, and stderr carries that JSON alone
+    with np.errstate(all="ignore"):
+        derived = spec.derive(FeatureSet(matrix, query_vector))
     report = derived.to_json()
     if cost_values is not None:
         instance = build_instance(derived, cost_values, budget, ValueInterval(r_min, r_max))

@@ -244,9 +244,11 @@ def kernel_regression_weights(
 class WeightSpec:
     """Parsed method selection used by the command-line front end.
 
-    Construction rejects every option error (a missing ``k`` or ``lam``, an
-    unknown method or kernel, a bandwidth that is not positive), so `derive`
-    only dispatches.
+    Construction rejects every option error (a missing ``k`` or ``lam``, a
+    ``k`` below 1, a ``lam`` that is not positive, an unknown method or
+    kernel, a bandwidth that is not positive), so `derive` only dispatches.
+    Only the options the method reads are checked; ``k``'s upper bound, the
+    row count, waits for the features.
     """
 
     method: str  # "knn" | "nadaraya-watson" | "ridge" | "kernel-regression"
@@ -262,17 +264,25 @@ class WeightSpec:
         if self.method == "knn":
             if self.k is None:
                 raise ValidationError("knn requires k")
+            if self.k < 1:
+                raise KOutOfRange(f"k must be at least 1, got {self.k}")
         elif self.method == "ridge":
             if self.lam is None:
                 raise ValidationError("ridge requires a regularization strength")
+            self._check_lam()
         elif self.method == "kernel-regression":
             if self.lam is None:
                 raise ValidationError("kernel regression requires a regularization strength")
+            self._check_lam()
             self._kernel()
         elif self.method == "nadaraya-watson":
             self._kernel()
         else:
             raise ValidationError(f"unknown weight method {self.method!r}")
+
+    def _check_lam(self) -> None:
+        if not self.lam > 0:  # also rejects NaN
+            raise ValidationError("regularization strength must be positive")
 
     def _kernel(self) -> GaussianKernel | LinearKernel:
         if self.kernel == "gaussian":

@@ -17,21 +17,24 @@ the filter runs once per deviator with ``i``'s own test skipped; ``i``
 survives iff it passes against the final survivor total ``W'``, that is
 ``W' - |w_i| > 0`` and ``|w_i| * z <= B * (W' - |w_i|)``. With the other
 survivors fixed, a step is named by ``i``'s insertion slot among them and,
-on that slot, the verdict of the prefix rule's own test on ``i``'s cost. The
+on that slot, the verdict of the prefix rule's own test on ``i``'s cost.
+Each test is monotone in ``z``, so along the sorted grid the steps come in
+runs whose ends are bisects of the grid (`deviator_kernel`'s walk). The
 mechanism runs once per step a deviator reaches, at most twice per slot, so
-O(n) times at O(n) each; every other report costs two bisects and one
-comparison. The result is bit for bit the pipeline's; the pipeline reference,
-`_deviation_utility`, lives in ``tests/test_verify.py``.
+O(n) times at O(n) each, and O(n) bisects find the runs; the sweep compares
+each run's utility once and takes only a failing run apart, into one witness
+per report. The result is bit for bit the pipeline's; the pipeline
+reference, `_deviation_utility`, lives in ``tests/test_verify.py``.
 
 Float and rational mode run the same code. Rational mode's instances are
 exact (`AuctionInstance.exact`), so the misreport grid takes exact factors
 and straddles and every comparison a slack of exactly 0; float mode allows
 ``REL_TOL * max(1, |x|)`` on the budget and IR checks and
-``TRUTHFUL_SLACK`` on a deviation's gain. On exact input
-the kernel clears denominators once per deviator, so the mechanism's
-decisions compare Python ints and only the deviator's payment and privacy
-loss are divided back into `Fraction`: the mechanism's rules compare, and
-their callers divide.
+``TRUTHFUL_SLACK`` on a deviation's gain. On exact input the kernel clears
+denominators once per instance, so the walk bisects integer keys and the
+mechanism's decisions compare Python ints; only the deviator's payment and
+privacy loss are divided back into `Fraction`: the mechanism's rules
+compare, and their callers divide.
 """
 
 import math
@@ -41,7 +44,8 @@ from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
-from functools import partial, reduce
+from functools import partial
+from itertools import accumulate
 
 import numpy as np
 
@@ -240,44 +244,55 @@ _RATIONAL_FACTORS = (
     Fraction(5, 4), Fraction(3, 2), Fraction(7, 4), Fraction(2), Fraction(5, 2),
     Fraction(3), Fraction(4), Fraction(5), Fraction(6), Fraction(8), Fraction(10),
 )
+_RATIONAL_EPS = Fraction(1, 10**6)
+# the factors and 1 -+ eps over one denominator, as integer keys
+_FACTOR_DENOMINATOR = math.lcm(
+    _RATIONAL_EPS.denominator, *(f.denominator for f in _RATIONAL_FACTORS)
+)
+_FACTOR_KEYS = tuple(
+    f.numerator * (_FACTOR_DENOMINATOR // f.denominator) for f in _RATIONAL_FACTORS
+)
 
 
 # One slot holding the last tuple of costs `_grid_parts` saw, with its parts: a
 # memo of a pure function of an immutable argument. The pair is read and
 # replaced as one tuple, so a reader never sees one costs' parts under another.
 _last_grid_parts: list = [(None, None)]
+# The same for the last rational grid `misreport_grid` built: its costs, the
+# grid and the grid's sorted integer keys, which `_report_keys` reuses.
+_last_grid_keys: list = [(None, None, None)]
 
 
 def _grid_parts(costs) -> tuple:
     """The parts of `misreport_grid` shared by every deviator of one instance.
 
-    Returns the factors, the straddles ``c, c (1 - eps), c (1 + eps)`` of
-    every cost in input order, and in rational mode each straddle's integer
-    sort key with the function that makes one, else None twice. A key is
-    the point's numerator over one denominator common to every point a grid
-    of these costs can hold, so keys order and identify points exactly as
-    their values do, without hashing a `Fraction`. The parts of the last
-    tuple of costs are kept, so a sweep builds them once per instance.
+    Returns ``(straddles, ranked, keys, common, built)``: the straddles
+    ``c, c (1 - eps), c (1 + eps)`` of every cost in input order; in float
+    mode, each nonnegative straddle with its owner's index, sorted stably
+    by value, and None three times; in rational mode, None, each straddle's
+    integer key, the common denominator of the keys, and every point built
+    so far by key, so that a point shared by several deviators' grids is
+    built once. A key is the point's numerator over one denominator common
+    to every point a grid of these costs can hold, so keys order and
+    identify points exactly as their values do, without hashing a
+    `Fraction`. The parts of the last tuple of costs are kept, so a sweep
+    builds them once per instance.
     """
     last_costs, last_parts = _last_grid_parts[0]
     if last_costs is costs:
         return last_parts
     rational = all(isinstance(c, Fraction) for c in costs)
-    factors, eps = (_RATIONAL_FACTORS, Fraction(1, 10**6)) if rational else (_FLOAT_FACTORS, 1e-6)
+    eps = _RATIONAL_EPS if rational else 1e-6
     below, above = 1 - eps, 1 + eps
     straddles = [z for c in costs for z in (c, c * below, c * above)]
-    keys = key = None
     if rational:
         # every point is a cost times a factor, 1 - eps, 1 + eps or 1, or zero
-        common = math.lcm(*(c.denominator for c in costs)) * math.lcm(
-            eps.denominator, *(f.denominator for f in factors)
-        )
-
-        def key(z):
-            return z.numerator * (common // z.denominator)
-
-        keys = list(map(key, straddles))
-    parts = (factors, straddles, keys, key)
+        common = math.lcm(*(c.denominator for c in costs)) * _FACTOR_DENOMINATOR
+        keys = [z.numerator * (common // z.denominator) for z in straddles]
+        parts = (straddles, None, keys, common, dict(zip(keys, straddles)))
+    else:
+        owned = [(z, j // 3) for j, z in enumerate(straddles) if z >= 0]
+        parts = (straddles, sorted(owned, key=operator.itemgetter(0)), None, None, None)
     if type(costs) is tuple:
         _last_grid_parts[0] = (costs, parts)
     return parts
@@ -293,31 +308,60 @@ def misreport_grid(costs, i: int) -> tuple:
     instead: 21 even steps from 0 in float mode, 0 and the rational factors
     in rational mode. The mode is rational when every cost is a `Fraction`;
     its points, all `Fraction`, are deduplicated and sorted by exact integer
-    keys, which identify and order them as their values do. The others'
-    straddles are built once per tuple of costs (`_grid_parts`).
+    keys, which identify and order them as their values do. Equal float
+    points keep the first of them (``0.0`` before ``-0.0``), the own points
+    before the others' straddles, in input order. The others' straddles are
+    built and sorted once per tuple of costs (`_grid_parts`).
     """
-    factors, straddles, keys, key = _grid_parts(costs)
+    _, ranked, keys, common, built = _grid_parts(costs)
     true_cost = costs[i]
-    if true_cost > 0:
-        own = [true_cost * f for f in factors]
-    else:
-        top = max(costs) or 1
-        if key is not None:
-            own = [top * f for f in factors] + [Fraction(0)]
-        else:
-            own = [float(z) for z in np.linspace(0.0, 10.0 * top, 21)]
     lo, hi = 3 * i, 3 * i + 3  # i's own straddle
-    if key is not None:
-        points = dict(zip(map(key, own), own))
-        points.update(zip(keys[:lo], straddles[:lo]))
-        points.update(zip(keys[hi:], straddles[hi:]))
-        return tuple(map(points.__getitem__, sorted(filter((0).__le__, points))))
-    points = set(own)
-    points.update(straddles[:lo])
-    points.update(straddles[hi:])
-    grid = [z for z in points if z >= 0]
-    grid.sort()
-    return tuple(grid)
+    if common is not None:
+        # own points from keys: a cost's key is (cost * C) * F for the common
+        # denominator C * F, and a factor's key is factor * F
+        if true_cost > 0:
+            base, own = keys[lo], []
+        else:  # the factors times max(costs) or 1, and 0
+            base, own = max(keys[::3]) or common, [0]
+        own += [base // _FACTOR_DENOMINATOR * f for f in _FACTOR_KEYS]
+        for key in own:
+            if key not in built:
+                built[key] = Fraction(key, common)
+        ordered = sorted(filter((0).__le__, {*keys[:lo], *keys[hi:], *own}))
+        grid = tuple(map(built.__getitem__, ordered))
+        if type(costs) is tuple:
+            _last_grid_keys[0] = (costs, grid, ordered)
+        return grid
+    if true_cost > 0:
+        points = [true_cost * f for f in _FLOAT_FACTORS]
+    else:
+        points = [z for z in np.linspace(0.0, 10.0 * (max(costs) or 1), 21).tolist() if z >= 0]
+    points += [z for z, j in ranked if j != i]
+    points.sort()  # stable: of equal points, the first one listed leads
+    return tuple(dict.fromkeys(points))
+
+
+def _report_keys(costs, reports):
+    """Integer keys of exact ``reports`` and of ``costs``, over one common denominator.
+
+    Returns ``(report_keys, cost_keys, denominator)``, or None when a report
+    is neither a `Fraction` nor an int. The denominator is the lcm of
+    `_grid_parts`'s and the reports' denominators, so the keys order
+    reports and costs exactly as their values do. A grid that
+    `misreport_grid` just built for these costs already has its keys.
+    """
+    _, _, straddle_keys, common, _ = _grid_parts(costs)
+    cost_keys = straddle_keys[::3]  # each cost's own straddle point
+    last_costs, last_grid, last_keys = _last_grid_keys[0]
+    if last_grid is reports and last_costs is costs:
+        return last_keys, cost_keys, common
+    if not all(type(z) in (Fraction, int) for z in reports):
+        return None
+    denominator = math.lcm(common, *(z.denominator for z in reports))
+    if denominator != common:
+        cost_keys = [key * (denominator // common) for key in cost_keys]
+    keys = [z.numerator * (denominator // z.denominator) for z in reports]
+    return keys, cost_keys, denominator
 
 
 # --- fault injection ----------------------------------------------------------
@@ -388,6 +432,33 @@ def mechanism_under(mutation: str | None):
 
 # --- per-instance checks ----------------------------------------------------
 
+# The same for the last instance `deviator_kernel` saw, with the parts that
+# every deviator of it shares.
+_last_kernel_parts: list = [(None, None)]
+
+
+def _kernel_parts(instance: AuctionInstance) -> tuple:
+    """The parts of `deviator_kernel` shared by every deviator of one instance.
+
+    Returns every individual in canonical order, by ``(cost, input row)``,
+    and on an exact instance the weight magnitudes as ints scaled by ``E``,
+    the lcm of their denominators, else None. The parts of the last
+    instance are kept, so a sweep builds them once per instance.
+    """
+    last_instance, last_parts = _last_kernel_parts[0]
+    if last_instance is instance:
+        return last_parts
+    wabs, costs = instance.abs_weights, instance.unit_costs
+    order = sorted(range(instance.n), key=costs.__getitem__)  # a stable sort: ties by row
+    scaled = None
+    if instance.exact:
+        scale_w = math.lcm(*(w.denominator for w in wabs))
+        scaled = [w.numerator * (scale_w // w.denominator) for w in wabs]
+    parts = (order, scaled)
+    _last_kernel_parts[0] = (instance, parts)
+    return parts
+
+
 def deviator_kernel(instance: AuctionInstance, i: int, mutation: str | None = None):
     """Individual ``i``'s utility as a function of its report, one mechanism run per step.
 
@@ -396,6 +467,11 @@ def deviator_kernel(instance: AuctionInstance, i: int, mutation: str | None = No
     ``i``'s cost replaced by ``z``, under ``mechanism_under(mutation)``, with
     no instance, estimator or outcome built. The pipeline reference,
     `_deviation_utility`, lives in ``tests/test_verify.py``.
+    ``utility.walk(grid, true_cost)`` answers a sorted ``grid`` of reports
+    at once: it returns ``(lo, hi, utility)`` for each run ``grid[lo:hi]``
+    of reports on one step, in grid order, and ``utility(z, true_cost)`` is
+    its one-point case. ``grid`` holds reports of one kind: all `Fraction`
+    or int, or all float.
 
     Filter once: while ``i`` is alive, every other individual's filter test
     reads only its own cost and the survivor total, never ``z``. So the
@@ -405,8 +481,8 @@ def deviator_kernel(instance: AuctionInstance, i: int, mutation: str | None = No
     ``W' - |w_i| > 0`` and ``|w_i| * z <= B * (W' - |w_i|)``, tested in the
     filter's own cross-multiplied form. Otherwise its utility is 0.
 
-    A step per slot and verdict: the other survivors are sorted once by
-    ``(cost, input row)`` and ``i`` is bisected in with key ``(z, i)``, the
+    A step per slot and verdict: the other survivors are sorted by
+    ``(cost, input row)`` and ``i`` goes in with key ``(z, i)``, the
     canonical order `instances.prepare` produces. With that slot ``pos``
     fixed, the mechanism reads ``z`` in one place that can change ``i``'s
     outcome: the prefix rule's test at ``t = pos + 1``,
@@ -416,24 +492,37 @@ def deviator_kernel(instance: AuctionInstance, i: int, mutation: str | None = No
     the single-winner scan reads costs other than ``i_star``'s, while ``i``'s
     payment depends on ``r`` only when ``i`` is ``i_star``; both hold for
     every rule of `MUTATIONS` too. So ``i``'s payment and privacy loss are
-    a function of ``(pos, verdict)``: `mechanism.decide` runs on the first
-    report of each step, at most twice per slot, and every other report
-    costs two bisects and one comparison. Sums run in canonical order from
-    the pipeline's start values, as the pipeline's do, so the verdicts and
-    the stored values are the pipeline's bits.
+    a function of ``(pos, verdict)``: `mechanism.decide` runs once per run,
+    on its first report, at most twice per slot. Sums run in canonical order
+    from the pipeline's start values, as the pipeline's do, so the verdicts
+    and the utilities are the pipeline's bits.
+
+    The walk: survival, the slot and the verdict are each monotone in
+    ``z``, so along a sorted grid the steps come in runs, and each run's
+    ends are bisects of the grid. Survival holds on a prefix of the grid;
+    ``i`` passes another survivor at the first report ``>=`` its cost when
+    that survivor's row is smaller, else at the first report ``>`` it; and
+    within a slot the verdict holds on a prefix. The bisects evaluate the
+    kernel's own float products, ``|w_i| * z`` and ``z * w([pos + 1])``,
+    which rounding keeps monotone, so each run holds exactly the reports
+    that share a step. A grid of `Fraction` reports on an exact instance
+    is bisected on integer keys instead (`_report_keys`): the reports and
+    the costs over one common denominator ``D``, and each test's threshold
+    on ``z`` rounded down to a multiple of ``1/D``, so no `Fraction` is
+    compared.
 
     Exact integers: every comparison in `mechanism.decide` and its rules is
     cross-multiplied and homogeneous, of equal degree in money (budget,
     costs) and in weight, so scaling money by a positive ``M`` and weights
     by a positive ``E`` leaves every decision unchanged. On an instance whose
     weights, costs and budget are all `Fraction`, ``E`` is the lcm of the
-    survivors' weight denominators and ``M`` that of the budget's and the
-    other survivors' cost denominators, computed once per deviator; a report
-    ``z = p/q`` (a `Fraction` or an int) further scales money by ``q``. Then
-    `decide` runs on Python ints, and ``i``'s payment and privacy loss divide
-    by ``M q`` into `Fraction`, the pipeline's value and type, whatever ``q``.
-    Any other report takes the same statements with ``M q = 1`` and ``/``,
-    the pipeline's bits; the two arithmetic paths keep separate steps.
+    weight denominators, computed once per instance (`_kernel_parts`), and
+    a walk on integer keys scales money by ``M D``, where ``D`` is the keys'
+    denominator and ``M`` the budget's: a cost is its key times ``M``, the
+    budget its numerator times ``D``. Then `decide` runs on Python ints, and
+    ``i``'s payment and privacy loss divide by ``M D`` into `Fraction`, the
+    pipeline's value and type, whatever ``D``. A float grid takes the same
+    statements with ``M D = 1`` and ``/``, the pipeline's bits.
     """
     name, factor = parse_mutation(mutation)
     rules = _MUTANT_RULES.get(name, _HONEST_RULES)
@@ -441,69 +530,46 @@ def deviator_kernel(instance: AuctionInstance, i: int, mutation: str | None = No
     budget = instance.budget
     wabs, costs = instance.abs_weights, instance.unit_costs
     w_i = wabs[i]
+    order, scaled = _kernel_parts(instance)
 
     alive, total = filter_survivors(instance, exempt=i)
-    residual = total - w_i
-    if residual <= 0:  # no other survivor weight: i is filtered whatever it reports
-        return lambda z, true_cost: 0
-    cap = budget * residual
-    others = sorted((costs[j], j) for j in alive if j != i)
-    other_wabs = [wabs[j] for _, j in others]
-    other_costs = [c for c, _ in others]
-    other_rows = [j for _, j in others]
-    own_zero, first_zero = w_i * 0, other_wabs[0] * 0  # others is not empty: residual > 0
-
-    exact = instance.exact
-    if exact:
-        scale_w = math.lcm(*(wabs[j].denominator for j in alive))
-        scale_m = math.lcm(budget.denominator, *(c.denominator for c in other_costs))
-        int_wabs = _scaled_ints(other_wabs, scale_w)
-        int_costs = _scaled_ints(other_costs, scale_m)
-        [int_w_i] = _scaled_ints([w_i], scale_w)
-        [int_budget] = _scaled_ints([budget], scale_m)
+    residual = total - w_i  # <= 0: no other survivor weight, i is filtered whatever it reports
+    survivors = set(alive)
+    rows = [j for j in order if j != i and j in survivors]  # the others, in canonical order
+    other_wabs = [wabs[j] for j in rows]
+    other_costs = [costs[j] for j in rows]
+    # an unselected i's payment: the pipeline's first-position weight times 0
+    zeros = w_i * 0, (wabs[rows[0]] * 0 if rows else None)
+    if scaled is not None:
+        int_w_i = scaled[i]
+        int_wabs = [scaled[j] for j in rows]
+        int_budget, scale_m = budget.numerator, budget.denominator  # B * M is an int
         int_cap = int_budget * sum(int_wabs)  # B * (W' - |w_i|), scaled by M * E
 
-    slots = {}  # (integral, pos) -> weights with i inserted, w([pos + 1]), their total
-    steps = {}  # (integral, pos, verdict) -> [payment, eps, true_cost, utility]
+    def step(pos: int, own_cost, ws, ids, whole, others, scaled_budget, scale, divide):
+        """``i``'s payment and privacy loss on one step, from one `decide` run.
 
-    def slot(integral: bool, pos: int, own_w):
-        ws = (int_wabs if integral else other_wabs).copy()
-        ws.insert(pos, own_w)
-        through = reduce(operator.add, ws[: pos + 1], ws[0] * 0)  # decide's prefix[pos + 1]
-        return ws, through, sum(ws)
-
-    def step(integral: bool, q: int, pos: int, own_cost, ws, whole):
-        """``i``'s payment and privacy loss on one step, from one `decide` run."""
-        if integral:
-            cs = [c * q for c in int_costs]
-            scaled_budget, money, divide = int_budget * q, scale_m * q, Fraction
-        else:
-            cs = other_costs.copy()
-            scaled_budget, money, divide = budget, 1, operator.truediv
+        ``others`` are the other survivors' costs, and they, ``own_cost`` and
+        ``scaled_budget`` are money scaled by ``scale``, which ``divide`` undoes.
+        """
+        cs = others.copy()
         cs.insert(pos, own_cost)
-        ids = other_rows.copy()
-        ids.insert(pos, i)
         k, i_star, r, p_hat, rate = decide(ws, cs, ids, scaled_budget, whole, rules)
         if checked:
             check_single_winner(k, i_star, r)
         own_w = ws[pos]
-        zero = first_zero if pos else own_zero  # the pipeline's first-position weight * 0
         if rate is None:
             selected = pos == i_star
-            if not selected:
-                payment = zero
-            elif r is None:
-                payment = budget
-            else:
-                payment = divide(p_hat[0], p_hat[1] * money)
+            if selected:
+                payment = budget if r is None else divide(p_hat[0], p_hat[1] * scale)
             unselected = ws[:i_star] + ws[i_star + 1:]
         else:
             selected = pos < k
-            if not selected:
-                payment = zero
-            else:
-                payment = own_w * divide(rate[0], rate[1] * money)
+            if selected:
+                payment = own_w * divide(rate[0], rate[1] * scale)
             unselected = ws[k:]
+        if not selected:
+            payment = zeros[pos > 0]
         if factor is not None:
             payment = payment * factor
         # Dclef.residual_weight and Dclef.epsilons, for i alone
@@ -515,42 +581,79 @@ def deviator_kernel(instance: AuctionInstance, i: int, mutation: str | None = No
             eps = divide(own_w * x_i, resid)
         return payment, eps
 
-    def utility(z, true_cost):
-        integral = exact and type(z) in (Fraction, int)
+    def walk(grid, true_cost) -> list:
+        size = len(grid)
+        exact_keys = None if scaled is None else _report_keys(costs, grid)
+        integral = exact_keys is not None
         if integral:
-            # money scaled by M * q and weights by E, as the docstring explains
-            q = z.denominator
-            own_w, own_cost, limit = int_w_i, z.numerator * scale_m, int_cap * q
-            # the others' costs scale by q too: the bisects multiply as they compare
-            scaled_budget, scaled_costs, scale = int_budget * q, int_costs, q.__mul__
+            keys, cost_keys, denominator = exact_keys
+            cuts = [cost_keys[j] for j in rows]
+            # money scaled by M * D and weights by E: a report's cost is its key times M
+            others = [c * scale_m for c in cuts]
+            scaled_budget, scale, divide = int_budget * denominator, scale_m * denominator, Fraction
         else:
-            q, own_w, own_cost, limit = 1, w_i, z, cap
-            scaled_budget, scaled_costs, scale = budget, other_costs, None
-        if own_w * own_cost > limit:
-            return 0
-        lo = bisect_left(scaled_costs, own_cost, key=scale)
-        hi = bisect_right(scaled_costs, own_cost, lo, key=scale)
-        pos = bisect_left(other_rows, i, lo, hi)  # canonical order: by (cost, input row)
-        at = slots.get((integral, pos))
-        if at is None:
-            at = slots[integral, pos] = slot(integral, pos, own_w)
-        ws, through, whole = at
-        verdict = pos < len(others) and scaled_budget * (whole - through) >= own_cost * through
-        key = (integral, pos, verdict)
-        known = steps.get(key)
-        if known is None:
-            payment, eps = step(integral, q, pos, own_cost, ws, whole)
-            known = steps[key] = [payment, eps, true_cost, payment - true_cost * eps]
-        elif known[2] is not true_cost:
-            known[2:] = true_cost, known[0] - true_cost * known[1]
-        return known[3]
+            keys = grid
+            cuts = others = other_costs
+            scaled_budget, scale, divide = budget, 1, operator.truediv
+        # each bisect finds the first report that fails a test monotone in z; on
+        # integer keys a test "z <= N / (E M)" reads "key <= N D // (E M)"
+        if residual <= 0:
+            survive = 0
+        elif integral:
+            survive = bisect_right(keys, int_cap * denominator // (int_w_i * scale_m))
+        else:
+            cap = budget * residual
+            survive = bisect_left(grid, True, key=lambda z: w_i * z > cap)
+        runs = []
+        start = 0
+        last = len(rows)
+        weights, own_w = (int_wabs, int_w_i) if integral else (other_wabs, w_i)
+        if survive:  # then i has company: residual > 0
+            prefix = list(accumulate(weights, initial=weights[0] * 0))
+        for pos in range(last + 1):
+            if start >= survive:
+                break
+            if pos == last:
+                end = survive
+            elif rows[pos] < i:  # i passes an equal cost of a smaller row
+                end = bisect_left(keys, cuts[pos], start, survive)
+            else:
+                end = bisect_right(keys, cuts[pos], start, survive)
+            if start == end:
+                continue
+            ws = weights.copy()
+            ws.insert(pos, own_w)
+            ids = rows.copy()
+            ids.insert(pos, i)
+            whole = sum(ws)
+            through = (prefix[pos] if pos else own_w * 0) + own_w  # decide's prefix[pos + 1]
+            if pos == last:  # the last slot has no prefix test of its own
+                split = start
+            elif integral:
+                bar = int_budget * (whole - through) * denominator // (through * scale_m)
+                split = bisect_right(keys, bar, start, end)
+            else:
+                bar = budget * (whole - through)
+                split = bisect_left(grid, True, start, end, key=lambda z: not bar >= z * through)
+            for lo, hi in ((start, split), (split, end)):  # the verdict holds, then fails
+                if lo == hi:
+                    continue
+                own_cost = keys[lo] * scale_m if integral else grid[lo]
+                payment, eps = step(
+                    pos, own_cost, ws, ids, whole, others, scaled_budget, scale, divide
+                )
+                runs.append((lo, hi, payment - true_cost * eps))
+            start = end
+        if survive < size:
+            runs.append((survive, size, 0))
+        return runs
 
+    def utility(z, true_cost):
+        [(_, _, value)] = walk((z,), true_cost)
+        return value
+
+    utility.walk = walk
     return utility
-
-
-def _scaled_ints(values, scale: int) -> list[int]:
-    """``v * scale`` for each `Fraction` ``v``, as an int: every denominator divides ``scale``."""
-    return [v.numerator * (scale // v.denominator) for v in values]
 
 
 def _witness(prop: str, config: SweepConfig, index: int, instance, **extra) -> dict:
@@ -594,15 +697,16 @@ def _truthfulness_record(config: SweepConfig, index: int, mutation: str | None) 
         honest_utility = outcome.payments[i] - true_cost * eps[i]
         bound = honest_utility + gain_slack
         deviate = deviator_kernel(instance, i, mutation)
-        for z in misreport_grid(instance.unit_costs, i):
-            dev_utility = deviate(z, true_cost)
+        grid = misreport_grid(instance.unit_costs, i)
+        for lo, hi, dev_utility in deviate.walk(grid, true_cost):
             # a NaN utility fails the check: only a proven "no gain" passes
             if not dev_utility <= bound:
-                fail(
-                    "truthful", individual=i, misreport=_json_float(z),
-                    honest_utility=_json_float(honest_utility),
-                    deviating_utility=_json_float(dev_utility),
-                )
+                for z in grid[lo:hi]:
+                    fail(
+                        "truthful", individual=i, misreport=_json_float(z),
+                        honest_utility=_json_float(honest_utility),
+                        deviating_utility=_json_float(dev_utility),
+                    )
     failed = {witness["property"] for witness in failures}
     props = ("budget_feasible", "individually_rational", "truthful")
     return {"index": index, "checks": {p: p not in failed for p in props}, "failures": failures}
@@ -740,8 +844,9 @@ def run_truthfulness_sweep(
     A correct mechanism yields zero failures; a mutated one (a spec from
     `MUTATIONS`) is expected to produce witnesses. In rational mode all
     comparisons are exact. Each instance takes about n^3 steps (n deviators,
-    at most 2n mechanism runs of O(n) each, and about 3n reports of O(log n)
-    each), so ``n_range`` may not exceed `TRUTHFUL_LIMIT`.
+    each with at most 2n mechanism runs of O(n) each, O(n) bisects of its
+    grid of about 3n reports, and one comparison per run), so ``n_range``
+    may not exceed `TRUTHFUL_LIMIT`.
     """
     _check_truthfulness(config, mutation)
     worker = partial(_truthfulness_record, config, mutation=mutation)

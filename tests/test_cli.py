@@ -421,6 +421,24 @@ class TestWeights:
             '{"error": "ValidationError", "message": "array must not contain infs or NaNs"}\n'
         )
 
+    def test_overflow_leaves_one_json_object_on_stderr(self, tmp_path):
+        # a subprocess, so that numpy's warnings reach stderr as they do for a user
+        feats = tmp_path / "f.csv"
+        feats.write_text("1e200,1\n1,1e200\n1e200,1e200\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        completed = subprocess.run(
+            [sys.executable, "-m", "privauction.cli", "weights", str(feats),
+             "--method", "ridge", "--lam", "1", "--query", "1,1"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        )
+        assert completed.returncode == 1
+        assert completed.stdout == ""
+        error, end = json.JSONDecoder().raw_decode(completed.stderr)
+        assert completed.stderr[end:] == "\n"
+        assert error == {
+            "error": "ValidationError", "message": "array must not contain infs or NaNs"
+        }
+
     def test_query_csv(self, runner, tmp_path):
         feats = tmp_path / "f.csv"
         feats.write_text("0,0\n1,1\n")
@@ -779,6 +797,12 @@ class TestWeightsOptions:
          "could not convert string to float: 'x'"),
         (["--method", "knn", "--k", "1", "--query", "1", "--drop-tol", "2"],
          "drop tolerance must lie in [0, 1)"),
+        (["--method", "ridge", "--lam", "-1", "--query", "1,1"],
+         "regularization strength must be positive"),
+        (["--method", "ridge", "--lam", "nan", "--query", "1"],
+         "regularization strength must be positive"),
+        (["--method", "kernel-regression", "--lam", "0", "--query", "1"],
+         "regularization strength must be positive"),
     ])
     def test_option_error_before_any_file_read(self, runner, monkeypatch, args, message):
         def no_read(*args, **kwargs):
@@ -788,6 +812,19 @@ class TestWeightsOptions:
         result = runner.invoke(main, ["weights", "missing.csv", *args])
         assert result.exit_code == 1
         assert json.loads(result.stderr) == {"error": "ValidationError", "message": message}
+
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_k_below_one_before_any_file_read(self, runner, monkeypatch, k):
+        def no_read(*args, **kwargs):
+            raise AssertionError("a file was read before the options were checked")
+
+        monkeypatch.setattr(cli, "load_feature_csv", no_read)
+        result = runner.invoke(main, ["weights", "missing.csv", "--method", "knn", "--k", k,
+                                      "--query", "1"])
+        assert result.exit_code == 1
+        assert json.loads(result.stderr) == {
+            "error": "KOutOfRange", "message": f"k must be at least 1, got {k}"
+        }
 
 
 USAGE_ERRORS = [

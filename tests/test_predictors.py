@@ -356,10 +356,18 @@ class TestWeightSpec:
         ({"method": "nadaraya-watson", "bandwidth": 0.0}, "bandwidth must be positive"),
         ({"method": "kernel-regression", "lam": 1.0, "bandwidth": math.nan},
          "bandwidth must be positive"),
+        ({"method": "ridge", "lam": 0.0}, "regularization strength must be positive"),
+        ({"method": "ridge", "lam": math.nan}, "regularization strength must be positive"),
+        ({"method": "kernel-regression", "lam": -1.0}, "regularization strength must be positive"),
     ])
     def test_option_errors_raise_at_construction(self, fields, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             WeightSpec(**fields)
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_k_below_one_raises_at_construction(self, k):
+        with pytest.raises(KOutOfRange, match=f"^k must be at least 1, got {k}$"):
+            WeightSpec("knn", k=k)
 
     def test_unused_options_are_not_checked(self):
         # the bandwidth and kernel name only matter to the methods that build a kernel

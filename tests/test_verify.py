@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from privauction import (
     prepare,
 )
 from privauction import verify
-from privauction.instances import filter_survivors
+from privauction.instances import _json_float, filter_survivors
 from privauction.verify import (
     MUTATIONS,
     SweepConfig,
@@ -52,6 +53,35 @@ def _deviation_utility(reported_instance, i: int, true_cost, mechanism):
     outcome = mechanism(canonical, identity=rows)
     position = rows.index(i)
     return outcome.payments[position] - true_cost * outcome.dclef.epsilons()[position]
+
+
+def reference_truthful_witnesses(config, index, mutation):
+    """The truthful witnesses of `_truthfulness_record`, one utility and one comparison per report.
+
+    Each report of the grid is answered by `deviator_kernel`'s per-report
+    utility and compared with the honest utility on its own. This is the
+    reference for the sweep, which compares once per run of reports on one
+    step.
+    """
+    instance = generate_instance(config, index)
+    outcome = mechanism_under(mutation)(instance)
+    eps = outcome.dclef.epsilons()
+    gain_slack = 0 if instance.exact else verify.TRUTHFUL_SLACK
+    witnesses = []
+    for i in range(instance.n):
+        true_cost = instance.unit_costs[i]
+        honest_utility = outcome.payments[i] - true_cost * eps[i]
+        deviate = deviator_kernel(instance, i, mutation)
+        for z in misreport_grid(instance.unit_costs, i):
+            dev_utility = deviate(z, true_cost)
+            if not dev_utility <= honest_utility + gain_slack:
+                witnesses.append(verify._witness(
+                    "truthful", config, index, instance,
+                    individual=i, misreport=_json_float(z),
+                    honest_utility=_json_float(honest_utility),
+                    deviating_utility=_json_float(dev_utility),
+                ))
+    return witnesses
 
 
 def reference_misreport_grid(costs, i):
@@ -600,6 +630,79 @@ class TestKernelSteps:
             assert calls <= 2 * slots, (slots, calls, reports)
         # the grid is larger than the step count: the bound is the steps', not the grid's
         assert sum(k[1] for k in kernels) < sum(k[2] for k in kernels) / 2
+
+
+WALK_CONFIGS = [
+    dict(),
+    dict(weight_distribution="integer-grid", cost_distribution="integer-grid"),
+    dict(weight_distribution="integer-grid", cost_distribution="integer-grid",
+         arithmetic_mode="rational"),
+]
+
+
+def _step_of(instance, i, z):
+    """``i``'s step at report ``z`` under the pipeline: None when filtered, else (slot, verdict)."""
+    reported = list(instance.unit_costs)
+    reported[i] = z
+    try:
+        canonical, rows, removed = prepare(
+            AuctionInstance(instance.weights, reported, instance.budget, instance.interval)
+        )
+    except EmptyInstance:
+        return None
+    if i in removed:
+        return None
+    pos = rows.index(i)
+    if pos == canonical.n - 1:  # the last position has no prefix test of its own
+        return pos, False
+    wabs = canonical.abs_weights
+    through = list(accumulate(wabs, initial=wabs[0] * 0))[pos + 1]
+    return pos, canonical.budget * (canonical.total_weight - through) >= z * through
+
+
+class TestKernelWalk:
+    """The walk answers a sorted grid in runs of reports on one step."""
+
+    @pytest.mark.parametrize("fields", WALK_CONFIGS)
+    def test_runs_are_the_steps(self, fields):
+        config = SweepConfig(n_range=(2, 6), instance_count=12, rng_seed=37, **fields)
+        split_slots = 0
+        for index in range(config.instance_count):
+            instance = generate_instance(config, index)
+            for i in range(instance.n):
+                true_cost = instance.unit_costs[i]
+                grid = misreport_grid(instance.unit_costs, i)
+                steps = [_step_of(instance, i, z) for z in grid]
+                for mutation in MUTATION_SPECS:
+                    kernel = deviator_kernel(instance, i, mutation)
+                    runs = kernel.walk(grid, true_cost)
+                    # the runs cover the grid in order
+                    assert [lo for lo, _, _ in runs] == [0] + [hi for _, hi, _ in runs[:-1]]
+                    assert runs[-1][1] == len(grid)
+                    for lo, hi, utility in runs:
+                        assert len(set(steps[lo:hi])) == 1, (index, i, mutation, lo, hi)
+                        for z in grid[lo:hi]:
+                            assert _bits(kernel(z, true_cost)) == _bits(utility), (index, i, z)
+                    # adjacent runs never share a step
+                    starts = [steps[lo] for lo, _, _ in runs]
+                    assert all(a != b for a, b in zip(starts, starts[1:])), (index, i, mutation)
+                starts = [step for step in steps if step is not None]
+                split_slots += len({pos for pos, verdict in starts if not verdict}
+                                   & {pos for pos, verdict in starts if verdict})
+        assert split_slots > 0  # some slot holds both verdicts
+
+    @pytest.mark.parametrize("mutation", MUTATION_SPECS)
+    def test_witnesses_match_per_report_reference(self, mutation):
+        witnesses = 0
+        for fields in WALK_CONFIGS:
+            config = SweepConfig(n_range=(2, 7), instance_count=40, rng_seed=41, **fields)
+            for index in range(config.instance_count):
+                record = _truthfulness_record(config, index, mutation)
+                truthful = [w for w in record["failures"] if w["property"] == "truthful"]
+                assert truthful == reference_truthful_witnesses(config, index, mutation), index
+                witnesses += len(truthful)
+        if mutation is not None:
+            assert witnesses > 0  # the mutant is caught, so there is something to compare
 
 
 class TestNanUtility:
