@@ -212,6 +212,20 @@ class AuctionInstance:
         """The filter's first round, who fails at the full total; see `filter_survivors`."""
         return _round_violators(self, range(self.n), self.total_weight)
 
+    @cached_property
+    def _canonical_order(self) -> tuple:
+        """Positions by unit cost, a stable sort, so ties keep position order."""
+        return tuple(sorted(range(self.n), key=self.unit_costs.__getitem__))
+
+    @cached_property
+    def _integer_weights(self) -> list | None:
+        """The weight magnitudes as ints over the lcm of their denominators; None unless exact."""
+        if not self.exact:
+            return None
+        wabs = self.abs_weights
+        scale = math.lcm(*(w.denominator for w in wabs))
+        return [w.numerator * (scale // w.denominator) for w in wabs]
+
     def to_json(self) -> dict:
         return {
             "weights": _json_floats(self.weights),
@@ -258,12 +272,12 @@ def canonicalize(instance: AuctionInstance) -> tuple[AuctionInstance, tuple[int,
     """Sort individuals by non-decreasing unit cost, ties by original index.
 
     Returns the sorted instance and ``order``, with ``order[j]`` the original
-    position of sorted position ``j``. Idempotent: a canonical instance is
-    returned as it is, with the identity order.
+    position of sorted position ``j``: the instance's cached `_canonical_order`.
+    Idempotent: a canonical instance is returned as it is, with the identity order.
     """
     if instance.is_canonical:
         return instance, tuple(range(instance.n))
-    order = tuple(sorted(range(instance.n), key=instance.unit_costs.__getitem__))
+    order = instance._canonical_order
     return instance.subset(order), order
 
 

@@ -236,7 +236,7 @@ def brute_force_opt(instance: AuctionInstance) -> OracleSolution:
     capacity = budget * instance.total_weight
     # Dantzig bound order of the undecided items: ascending cost is descending
     # profit/size, so on a canonical instance each tail is a plain index range.
-    by_cost = sorted(range(n), key=lambda i: costs[i])
+    by_cost = instance._canonical_order
     tails = [[j for j in by_cost if j >= i] for i in range(n + 1)]
 
     def dantzig(i, value, used):

@@ -180,14 +180,20 @@ def nadaraya_watson_weights(
     return _drop_negligible(similarity / mass, "nadaraya-watson", drop_tol)
 
 
-def _spd_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``matrix @ x = rhs`` once a Cholesky factorization shows ``matrix`` positive definite.
+def _check_lam(lam) -> None:
+    if not lam > 0:  # also rejects NaN
+        raise ValidationError("regularization strength must be positive")
 
-    The factorization does not reject non-finite entries itself, so they are
-    checked first.
-    """
+
+def _check_system(matrix: np.ndarray, rhs: np.ndarray) -> None:
+    """Reject a system with a non-finite entry, which LAPACK takes and may print errors about."""
     if not (np.all(np.isfinite(matrix)) and np.all(np.isfinite(rhs))):
         raise ValidationError("array must not contain infs or NaNs")
+
+
+def _spd_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``matrix @ x = rhs`` once a Cholesky factorization shows it positive definite."""
+    _check_system(matrix, rhs)
     try:
         np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError as exc:
@@ -204,8 +210,7 @@ def ridge_weights(
     are positive definite, then `numpy.linalg.solve` solves them; the matrix
     is never inverted explicitly. Weights may be negative.
     """
-    if not lam > 0:
-        raise ValidationError("regularization strength must be positive")
+    _check_lam(lam)
     gram = features.matrix.T @ features.matrix + lam * np.eye(features.m)
     coeffs = _spd_solve(gram, features.query)
     raw = features.matrix @ coeffs
@@ -220,15 +225,17 @@ def kernel_regression_weights(
 ) -> DerivedWeights:
     """Weights of the regularized kernel prediction at the query.
 
-    Warns (IllConditionedWarning) when the regularized kernel matrix's
-    condition number exceeds 1e12. A Cholesky factorization decides that the
-    system is positive definite, then `numpy.linalg.solve` solves it; a
-    system that is not fails loudly (SingularSystem) rather than falling back
-    to a pseudo-inverse.
+    A system with a non-finite entry is rejected (ValidationError) before
+    anything reads it. Warns (IllConditionedWarning) when the regularized
+    kernel matrix's condition number exceeds 1e12. A Cholesky factorization
+    decides that the system is positive definite, then `numpy.linalg.solve`
+    solves it; a system that is not fails loudly (SingularSystem) rather
+    than falling back to a pseudo-inverse.
     """
-    if not lam > 0:
-        raise ValidationError("regularization strength must be positive")
+    _check_lam(lam)
     gram = kernel.gram(features) + lam * np.eye(features.n)
+    similarity = kernel.against_query(features)
+    _check_system(gram, similarity)
     condition = float(np.linalg.cond(gram))
     if condition > CONDITION_LIMIT:
         warnings.warn(
@@ -236,7 +243,7 @@ def kernel_regression_weights(
             IllConditionedWarning,
             stacklevel=2,
         )
-    raw = _spd_solve(gram, kernel.against_query(features))
+    raw = _spd_solve(gram, similarity)
     return _drop_negligible(raw, "kernel-regression", drop_tol)
 
 
@@ -269,20 +276,16 @@ class WeightSpec:
         elif self.method == "ridge":
             if self.lam is None:
                 raise ValidationError("ridge requires a regularization strength")
-            self._check_lam()
+            _check_lam(self.lam)
         elif self.method == "kernel-regression":
             if self.lam is None:
                 raise ValidationError("kernel regression requires a regularization strength")
-            self._check_lam()
+            _check_lam(self.lam)
             self._kernel()
         elif self.method == "nadaraya-watson":
             self._kernel()
         else:
             raise ValidationError(f"unknown weight method {self.method!r}")
-
-    def _check_lam(self) -> None:
-        if not self.lam > 0:  # also rejects NaN
-            raise ValidationError("regularization strength must be positive")
 
     def _kernel(self) -> GaussianKernel | LinearKernel:
         if self.kernel == "gaussian":

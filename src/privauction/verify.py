@@ -255,28 +255,27 @@ _FACTOR_KEYS = tuple(
 
 
 # One slot holding the last tuple of costs `_grid_parts` saw, with its parts: a
-# memo of a pure function of an immutable argument. The pair is read and
-# replaced as one tuple, so a reader never sees one costs' parts under another.
+# memo of a pure function of an immutable argument, which `misreport_grid`
+# extends with each deviator's grid. The pair is read and replaced as one
+# tuple, so a reader never sees one costs' parts under another.
 _last_grid_parts: list = [(None, None)]
-# The same for the last rational grid `misreport_grid` built: its costs, the
-# grid and the grid's sorted integer keys, which `_report_keys` reuses.
-_last_grid_keys: list = [(None, None, None)]
 
 
-def _grid_parts(costs) -> tuple:
+def _grid_parts(costs) -> list | tuple:
     """The parts of `misreport_grid` shared by every deviator of one instance.
 
-    Returns ``(straddles, ranked, keys, common, built)``: the straddles
-    ``c, c (1 - eps), c (1 + eps)`` of every cost in input order; in float
-    mode, each nonnegative straddle with its owner's index, sorted stably
-    by value, and None three times; in rational mode, None, each straddle's
-    integer key, the common denominator of the keys, and every point built
-    so far by key, so that a point shared by several deviators' grids is
-    built once. A key is the point's numerator over one denominator common
-    to every point a grid of these costs can hold, so keys order and
-    identify points exactly as their values do, without hashing a
-    `Fraction`. The parts of the last tuple of costs are kept, so a sweep
-    builds them once per instance.
+    In float mode, a list: the straddles ``c, c (1 - eps), c (1 + eps)`` of
+    every cost that are nonnegative, each with its owner's index, sorted
+    stably by value. In rational mode, a tuple ``(keys, common, built,
+    grids)``: each straddle's integer key, in input order; the common
+    denominator of the keys; every point built so far by key, so that a
+    point shared by several deviators' grids is built once; and, by
+    deviator, the grid `misreport_grid` built last and its sorted keys,
+    which `_report_keys` reuses. A key is the point's numerator over one
+    denominator common to every point a grid of these costs can hold, so
+    keys order and identify points exactly as their values do, without
+    hashing a `Fraction`. The parts of the last tuple of costs are kept, so
+    a sweep builds them once per instance.
     """
     last_costs, last_parts = _last_grid_parts[0]
     if last_costs is costs:
@@ -289,10 +288,10 @@ def _grid_parts(costs) -> tuple:
         # every point is a cost times a factor, 1 - eps, 1 + eps or 1, or zero
         common = math.lcm(*(c.denominator for c in costs)) * _FACTOR_DENOMINATOR
         keys = [z.numerator * (common // z.denominator) for z in straddles]
-        parts = (straddles, None, keys, common, dict(zip(keys, straddles)))
+        parts = (keys, common, dict(zip(keys, straddles)), {})
     else:
         owned = [(z, j // 3) for j, z in enumerate(straddles) if z >= 0]
-        parts = (straddles, sorted(owned, key=operator.itemgetter(0)), None, None, None)
+        parts = sorted(owned, key=operator.itemgetter(0))
     if type(costs) is tuple:
         _last_grid_parts[0] = (costs, parts)
     return parts
@@ -308,15 +307,17 @@ def misreport_grid(costs, i: int) -> tuple:
     instead: 21 even steps from 0 in float mode, 0 and the rational factors
     in rational mode. The mode is rational when every cost is a `Fraction`;
     its points, all `Fraction`, are deduplicated and sorted by exact integer
-    keys, which identify and order them as their values do. Equal float
-    points keep the first of them (``0.0`` before ``-0.0``), the own points
-    before the others' straddles, in input order. The others' straddles are
-    built and sorted once per tuple of costs (`_grid_parts`).
+    keys, which identify and order them as their values do, and the grid is
+    recorded with its keys as ``i``'s in `_grid_parts`. Equal float points
+    keep the first of them (``0.0`` before ``-0.0``), the own points before
+    the others' straddles, in input order. The others' straddles are built
+    and sorted once per tuple of costs (`_grid_parts`).
     """
-    _, ranked, keys, common, built = _grid_parts(costs)
+    parts = _grid_parts(costs)
     true_cost = costs[i]
-    lo, hi = 3 * i, 3 * i + 3  # i's own straddle
-    if common is not None:
+    if type(parts) is tuple:  # rational mode
+        keys, common, built, grids = parts
+        lo, hi = 3 * i, 3 * i + 3  # i's own straddle
         # own points from keys: a cost's key is (cost * C) * F for the common
         # denominator C * F, and a factor's key is factor * F
         if true_cost > 0:
@@ -329,32 +330,33 @@ def misreport_grid(costs, i: int) -> tuple:
                 built[key] = Fraction(key, common)
         ordered = sorted(filter((0).__le__, {*keys[:lo], *keys[hi:], *own}))
         grid = tuple(map(built.__getitem__, ordered))
-        if type(costs) is tuple:
-            _last_grid_keys[0] = (costs, grid, ordered)
+        grids[i] = grid, ordered
         return grid
     if true_cost > 0:
         points = [true_cost * f for f in _FLOAT_FACTORS]
     else:
+        # drops a nan: when 10 * max(costs) overflows, linspace's first point is 0 * inf
         points = [z for z in np.linspace(0.0, 10.0 * (max(costs) or 1), 21).tolist() if z >= 0]
-    points += [z for z, j in ranked if j != i]
+    points += [z for z, j in parts if j != i]
     points.sort()  # stable: of equal points, the first one listed leads
     return tuple(dict.fromkeys(points))
 
 
-def _report_keys(costs, reports):
+def _report_keys(costs, reports, i: int):
     """Integer keys of exact ``reports`` and of ``costs``, over one common denominator.
 
     Returns ``(report_keys, cost_keys, denominator)``, or None when a report
     is neither a `Fraction` nor an int. The denominator is the lcm of
     `_grid_parts`'s and the reports' denominators, so the keys order
-    reports and costs exactly as their values do. A grid that
-    `misreport_grid` just built for these costs already has its keys.
+    reports and costs exactly as their values do. When ``reports`` is the
+    grid that `misreport_grid` built last for deviator ``i`` of these
+    costs, its recorded keys are returned.
     """
-    _, _, straddle_keys, common, _ = _grid_parts(costs)
-    cost_keys = straddle_keys[::3]  # each cost's own straddle point
-    last_costs, last_grid, last_keys = _last_grid_keys[0]
-    if last_grid is reports and last_costs is costs:
-        return last_keys, cost_keys, common
+    keys, common, _, grids = _grid_parts(costs)
+    cost_keys = keys[::3]  # each cost's own straddle point
+    grid, grid_keys = grids.get(i, (None, None))
+    if grid is reports:
+        return grid_keys, cost_keys, common
     if not all(type(z) in (Fraction, int) for z in reports):
         return None
     denominator = math.lcm(common, *(z.denominator for z in reports))
@@ -432,33 +434,6 @@ def mechanism_under(mutation: str | None):
 
 # --- per-instance checks ----------------------------------------------------
 
-# The same for the last instance `deviator_kernel` saw, with the parts that
-# every deviator of it shares.
-_last_kernel_parts: list = [(None, None)]
-
-
-def _kernel_parts(instance: AuctionInstance) -> tuple:
-    """The parts of `deviator_kernel` shared by every deviator of one instance.
-
-    Returns every individual in canonical order, by ``(cost, input row)``,
-    and on an exact instance the weight magnitudes as ints scaled by ``E``,
-    the lcm of their denominators, else None. The parts of the last
-    instance are kept, so a sweep builds them once per instance.
-    """
-    last_instance, last_parts = _last_kernel_parts[0]
-    if last_instance is instance:
-        return last_parts
-    wabs, costs = instance.abs_weights, instance.unit_costs
-    order = sorted(range(instance.n), key=costs.__getitem__)  # a stable sort: ties by row
-    scaled = None
-    if instance.exact:
-        scale_w = math.lcm(*(w.denominator for w in wabs))
-        scaled = [w.numerator * (scale_w // w.denominator) for w in wabs]
-    parts = (order, scaled)
-    _last_kernel_parts[0] = (instance, parts)
-    return parts
-
-
 def deviator_kernel(instance: AuctionInstance, i: int, mutation: str | None = None):
     """Individual ``i``'s utility as a function of its report, one mechanism run per step.
 
@@ -482,10 +457,10 @@ def deviator_kernel(instance: AuctionInstance, i: int, mutation: str | None = No
     filter's own cross-multiplied form. Otherwise its utility is 0.
 
     A step per slot and verdict: the other survivors are sorted by
-    ``(cost, input row)`` and ``i`` goes in with key ``(z, i)``, the
-    canonical order `instances.prepare` produces. With that slot ``pos``
-    fixed, the mechanism reads ``z`` in one place that can change ``i``'s
-    outcome: the prefix rule's test at ``t = pos + 1``,
+    ``(cost, input row)`` (`AuctionInstance._canonical_order`) and ``i`` goes
+    in with key ``(z, i)``, the canonical order `instances.prepare` produces.
+    With that slot ``pos`` fixed, the mechanism reads ``z`` in one place that
+    can change ``i``'s outcome: the prefix rule's test at ``t = pos + 1``,
     ``B * (W - w([pos + 1])) >= z * w([pos + 1])``, whose two sums depend
     on the slot alone (the last slot has no such test). The rate rule reads
     the cost at ``k``, which is ``i``'s only when ``i`` is unselected, and
@@ -516,7 +491,7 @@ def deviator_kernel(instance: AuctionInstance, i: int, mutation: str | None = No
     costs) and in weight, so scaling money by a positive ``M`` and weights
     by a positive ``E`` leaves every decision unchanged. On an instance whose
     weights, costs and budget are all `Fraction`, ``E`` is the lcm of the
-    weight denominators, computed once per instance (`_kernel_parts`), and
+    weight denominators (`AuctionInstance._integer_weights`, cached), and
     a walk on integer keys scales money by ``M D``, where ``D`` is the keys'
     denominator and ``M`` the budget's: a cost is its key times ``M``, the
     budget its numerator times ``D``. Then `decide` runs on Python ints, and
@@ -530,7 +505,7 @@ def deviator_kernel(instance: AuctionInstance, i: int, mutation: str | None = No
     budget = instance.budget
     wabs, costs = instance.abs_weights, instance.unit_costs
     w_i = wabs[i]
-    order, scaled = _kernel_parts(instance)
+    order, scaled = instance._canonical_order, instance._integer_weights
 
     alive, total = filter_survivors(instance, exempt=i)
     residual = total - w_i  # <= 0: no other survivor weight, i is filtered whatever it reports
@@ -583,7 +558,7 @@ def deviator_kernel(instance: AuctionInstance, i: int, mutation: str | None = No
 
     def walk(grid, true_cost) -> list:
         size = len(grid)
-        exact_keys = None if scaled is None else _report_keys(costs, grid)
+        exact_keys = None if scaled is None else _report_keys(costs, grid, i)
         integral = exact_keys is not None
         if integral:
             keys, cost_keys, denominator = exact_keys

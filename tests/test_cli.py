@@ -421,14 +421,21 @@ class TestWeights:
             '{"error": "ValidationError", "message": "array must not contain infs or NaNs"}\n'
         )
 
-    def test_overflow_leaves_one_json_object_on_stderr(self, tmp_path):
+    @pytest.mark.parametrize("method", [
+        pytest.param(["ridge"], id="ridge"),
+        # the kernel system is rejected before np.linalg.cond reads it: LAPACK
+        # would write to stdout on the linear kernel and fail on the Gaussian one
+        pytest.param(["kernel-regression", "--kernel", "linear"], id="kernel-linear"),
+        pytest.param(["kernel-regression", "--kernel", "gaussian"], id="kernel-gaussian"),
+    ])
+    def test_overflow_leaves_one_json_object_on_stderr(self, tmp_path, method):
         # a subprocess, so that numpy's warnings reach stderr as they do for a user
         feats = tmp_path / "f.csv"
         feats.write_text("1e200,1\n1,1e200\n1e200,1e200\n")
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         completed = subprocess.run(
             [sys.executable, "-m", "privauction.cli", "weights", str(feats),
-             "--method", "ridge", "--lam", "1", "--query", "1,1"],
+             "--method", *method, "--lam", "1", "--query", "1,1"],
             env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
         )
         assert completed.returncode == 1

@@ -691,6 +691,45 @@ class TestKernelWalk:
                                    & {pos for pos, verdict in starts if verdict})
         assert split_slots > 0  # some slot holds both verdicts
 
+    @pytest.mark.parametrize("fields", WALK_CONFIGS)
+    def test_walks_on_grids_the_sweep_never_pairs(self, fields):
+        # the sweep walks deviator i's latest grid with i's kernel; a grid built
+        # for another deviator, or from an equal copy of the costs, must give
+        # the same runs as the per-report kernel and the pipeline
+        config = SweepConfig(n_range=(2, 6), instance_count=10, rng_seed=43, **fields)
+        mechanism = mechanism_under(None)
+
+        def check_walk(instance, j, grid):
+            true_cost = instance.unit_costs[j]
+            kernel = deviator_kernel(instance, j)
+            for lo, hi, utility in kernel.walk(grid, true_cost):
+                for z in grid[lo:hi]:
+                    reported = list(instance.unit_costs)
+                    reported[j] = z
+                    expected = _deviation_utility(
+                        AuctionInstance(
+                            instance.weights, reported, instance.budget, instance.interval
+                        ),
+                        j, true_cost, mechanism,
+                    )
+                    assert _bits(utility) == _bits(expected), (j, z)
+                    assert _bits(kernel(z, true_cost)) == _bits(utility), (j, z)
+
+        cross_walks = 0
+        for index in range(config.instance_count):
+            instance = generate_instance(config, index)
+            costs = instance.unit_costs
+            # every deviator's grid first, then each walked by the other kernels
+            grids = [misreport_grid(costs, i) for i in range(instance.n)]
+            for j in range(instance.n):
+                for i, grid in enumerate(grids):
+                    if i != j:
+                        check_walk(instance, j, grid)
+                        cross_walks += len(grid) == len(grids[j])
+            for j in range(instance.n):
+                check_walk(instance, j, misreport_grid(tuple(list(costs)), j))
+        assert cross_walks > 0  # some other deviator's grid is as long as the kernel's own
+
     @pytest.mark.parametrize("mutation", MUTATION_SPECS)
     def test_witnesses_match_per_report_reference(self, mutation):
         witnesses = 0
