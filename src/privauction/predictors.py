@@ -93,19 +93,20 @@ class GaussianKernel:
 
     def gram(self, features: FeatureSet) -> np.ndarray:
         sq = np.einsum("ij,ij->i", features.matrix, features.matrix)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * (features.matrix @ features.matrix.T)
-        return np.exp(-np.maximum(d2, 0.0) / self.bandwidth**2)
+        gram = features.matrix @ features.matrix.T  # in place from here: two n x n arrays at most
+        gram *= 2.0
+        np.subtract(np.add.outer(sq, sq), gram, out=gram)  # squared distances
+        np.negative(np.maximum(gram, 0.0, out=gram), out=gram)
+        gram /= self.bandwidth**2
+        return np.exp(gram, out=gram)
 
 
 @dataclass(frozen=True)
 class LinearKernel:
-    """Plain inner-product similarity."""
+    """Plain inner-product similarity; kernel regression with it is ridge."""
 
     def against_query(self, features: FeatureSet) -> np.ndarray:
         return features.matrix @ features.query
-
-    def gram(self, features: FeatureSet) -> np.ndarray:
-        return features.matrix @ features.matrix.T
 
 
 @dataclass(frozen=True)
@@ -185,36 +186,38 @@ def _check_lam(lam) -> None:
         raise ValidationError("regularization strength must be positive")
 
 
-def _check_system(matrix: np.ndarray, rhs: np.ndarray) -> None:
-    """Reject a system with a non-finite entry, which LAPACK takes and may print errors about."""
+def _spd_solve(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve ``matrix @ x = rhs`` by `numpy.linalg.solve`; return x and the ascending eigenvalues.
+
+    A non-finite entry raises ValidationError before LAPACK (which may print errors) reads it.
+    The eigenvalues of `numpy.linalg.eigvalsh` decide positive definiteness, else SingularSystem.
+    """
     if not (np.all(np.isfinite(matrix)) and np.all(np.isfinite(rhs))):
         raise ValidationError("array must not contain infs or NaNs")
+    spectrum = np.linalg.eigvalsh(matrix)
+    if not spectrum[0] > 0:
+        raise SingularSystem(f"system is not positive definite: eigenvalue {spectrum[0]:.3e}")
+    return np.linalg.solve(matrix, rhs), spectrum
 
 
-def _spd_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``matrix @ x = rhs`` once a Cholesky factorization shows it positive definite."""
-    _check_system(matrix, rhs)
-    try:
-        np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"system is not positive definite: {exc}") from exc
-    return np.linalg.solve(matrix, rhs)
+def _ridge_solve(features: FeatureSet, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Raw ridge weights ``X (XᵀX + λI)⁻¹ q`` and the eigenvalues of the system solved.
+
+    At n < m that is the smaller ``(XXᵀ + λI) w = X q`` (push-through identity) instead.
+    """
+    rows = features.matrix
+    if features.n < features.m:
+        return _spd_solve(rows @ rows.T + lam * np.eye(features.n), rows @ features.query)
+    coeffs, spectrum = _spd_solve(rows.T @ rows + lam * np.eye(features.m), features.query)
+    return rows @ coeffs, spectrum
 
 
 def ridge_weights(
     features: FeatureSet, lam: float, drop_tol: float = DROP_TOLERANCE
 ) -> DerivedWeights:
-    """Weights of the regularized least-squares prediction at the query.
-
-    A Cholesky factorization decides that the regularized normal equations
-    are positive definite, then `numpy.linalg.solve` solves them; the matrix
-    is never inverted explicitly. Weights may be negative.
-    """
+    """Ridge weights at the query, by `_ridge_solve`; they may be negative."""
     _check_lam(lam)
-    gram = features.matrix.T @ features.matrix + lam * np.eye(features.m)
-    coeffs = _spd_solve(gram, features.query)
-    raw = features.matrix @ coeffs
-    return _drop_negligible(raw, f"ridge(lam={lam})", drop_tol)
+    return _drop_negligible(_ridge_solve(features, lam)[0], f"ridge(lam={lam})", drop_tol)
 
 
 def kernel_regression_weights(
@@ -223,27 +226,23 @@ def kernel_regression_weights(
     lam: float,
     drop_tol: float = DROP_TOLERANCE,
 ) -> DerivedWeights:
-    """Weights of the regularized kernel prediction at the query.
+    """Weights of the regularized kernel prediction at the query, by `_spd_solve`.
 
-    A system with a non-finite entry is rejected (ValidationError) before
-    anything reads it. Warns (IllConditionedWarning) when the regularized
-    kernel matrix's condition number exceeds 1e12. A Cholesky factorization
-    decides that the system is positive definite, then `numpy.linalg.solve`
-    solves it; a system that is not fails loudly (SingularSystem) rather
-    than falling back to a pseudo-inverse.
+    The linear kernel's are ridge's (`_ridge_solve`). Warns (IllConditionedWarning) when the
+    n x n system's condition number exceeds 1e12; at n > m its eigenvalues are ridge's and lam.
     """
     _check_lam(lam)
-    gram = kernel.gram(features) + lam * np.eye(features.n)
-    similarity = kernel.against_query(features)
-    _check_system(gram, similarity)
-    condition = float(np.linalg.cond(gram))
+    if isinstance(kernel, LinearKernel):
+        raw, spectrum = _ridge_solve(features, lam)
+        condition = spectrum[-1] / (lam if features.n > features.m else spectrum[0])
+    else:
+        gram = kernel.gram(features)
+        gram.flat[:: features.n + 1] += lam  # the diagonal, in place
+        raw, spectrum = _spd_solve(gram, kernel.against_query(features))
+        condition = spectrum[-1] / spectrum[0]
     if condition > CONDITION_LIMIT:
-        warnings.warn(
-            f"kernel system condition number {condition:.3e} exceeds {CONDITION_LIMIT:.0e}",
-            IllConditionedWarning,
-            stacklevel=2,
-        )
-    raw = _spd_solve(gram, similarity)
+        message = f"kernel system condition number {condition:.3e} exceeds {CONDITION_LIMIT:.0e}"
+        warnings.warn(message, IllConditionedWarning, stacklevel=2)
     return _drop_negligible(raw, "kernel-regression", drop_tol)
 
 

@@ -40,6 +40,7 @@ compare, and their callers divide.
 import math
 import operator
 import os
+import sys
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -300,18 +301,18 @@ def _grid_parts(costs) -> list | tuple:
 def misreport_grid(costs, i: int) -> tuple:
     """Candidate misreports for individual ``i``.
 
-    A multiplicative grid of at least 21 points around the true cost, plus,
-    for every other reported cost, the cost itself and values just below and
-    above it, so every sort position reachable by a unilateral deviation is
+    A multiplicative grid of at least 21 points around the true cost, plus, for
+    every other reported cost, the cost itself and values just below and above
+    it, so every sort position reachable by a unilateral deviation is
     exercised. A zero true cost gets a grid up to ten times the largest cost
-    instead: 21 even steps from 0 in float mode, 0 and the rational factors
-    in rational mode. The mode is rational when every cost is a `Fraction`;
-    its points, all `Fraction`, are deduplicated and sorted by exact integer
-    keys, which identify and order them as their values do, and the grid is
-    recorded with its keys as ``i``'s in `_grid_parts`. Equal float points
-    keep the first of them (``0.0`` before ``-0.0``), the own points before
-    the others' straddles, in input order. The others' straddles are built
-    and sorted once per tuple of costs (`_grid_parts`).
+    (at most the largest double) instead: 21 even steps from 0 in float mode, 0
+    and the rational factors in rational mode. The mode is rational when every
+    cost is a `Fraction`; its points, all `Fraction`, are deduplicated and
+    sorted by exact integer keys, which identify and order them as their values
+    do, and the grid is recorded with its keys as ``i``'s in `_grid_parts`.
+    Equal float points keep the first of them (``0.0`` before ``-0.0``), the
+    own points before the others' straddles, in input order. The others'
+    straddles are built and sorted once per tuple of costs (`_grid_parts`).
     """
     parts = _grid_parts(costs)
     true_cost = costs[i]
@@ -335,8 +336,8 @@ def misreport_grid(costs, i: int) -> tuple:
     if true_cost > 0:
         points = [true_cost * f for f in _FLOAT_FACTORS]
     else:
-        # drops a nan: when 10 * max(costs) overflows, linspace's first point is 0 * inf
-        points = [z for z in np.linspace(0.0, 10.0 * (max(costs) or 1), 21).tolist() if z >= 0]
+        top = min(10.0 * (max(costs) or 1), sys.float_info.max)  # 10 * max may overflow
+        points = np.linspace(0.0, top, 21).tolist()
     points += [z for z, j in parts if j != i]
     points.sort()  # stable: of equal points, the first one listed leads
     return tuple(dict.fromkeys(points))

@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +39,13 @@ def dense(derived, n):
     out = np.zeros(n)
     out[list(derived.kept)] = derived.weights
     return out
+
+
+def warns_ill_conditioned(features, kernel, lam) -> bool:
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        kernel_regression_weights(features, kernel, lam)
+    return any(issubclass(w.category, IllConditionedWarning) for w in caught)
 
 
 def reference_drop(raw, method, drop_tol=DROP_TOLERANCE):
@@ -271,6 +279,17 @@ class TestRidge:
         textbook = float(y @ np.linalg.solve(Y.T @ Y + 0.8 * np.eye(3), Y.T @ data))
         assert via_weights == pytest.approx(textbook, rel=1e-8)
 
+    def test_more_features_than_rows_keeps_digits_at_small_lam(self):
+        # at n < m the m x m normal equations have m - n eigenvalues lam; the n x n
+        # form of the push-through identity keeps the weights accurate
+        rng = np.random.default_rng(9)
+        for lam in (1e-10, 1e-13, 1e-16):
+            Y = rng.normal(size=(3, 6))
+            y = rng.normal(size=6)
+            expected = np.linalg.solve(Y @ Y.T + lam * np.eye(3), Y @ y)
+            got = dense(ridge_weights(FeatureSet(Y, y), lam), 3)
+            assert np.abs(got - expected).max() <= 1e-9 * np.abs(expected).max()
+
 
 class TestSpdSolve:
     def test_indefinite_matrix_raises_singular_system(self):
@@ -312,6 +331,57 @@ class TestKernelRegression:
         fs = FeatureSet(Y, np.array([1.0, 1.0]))
         with pytest.warns(IllConditionedWarning):
             kernel_regression_weights(fs, LinearKernel(), 1e-12)
+
+    @pytest.mark.parametrize("n, m", [(3, 6), (5, 5), (9, 4)], ids=["n<m", "n=m", "n>m"])
+    def test_linear_kernel_matches_n_by_n_solve(self, n, m):
+        # the textbook kernel form, solved test-side on the n x n system
+        rng = np.random.default_rng(10 * n + m)
+        for _ in range(20):
+            Y = rng.normal(size=(n, m))
+            y = rng.normal(size=m)
+            lam = float(rng.uniform(0.1, 2))
+            expected = np.linalg.solve(Y @ Y.T + lam * np.eye(n), Y @ y)
+            got = dense(kernel_regression_weights(FeatureSet(Y, y), LinearKernel(), lam), n)
+            assert np.abs(got - expected).max() <= 1e-9 * np.abs(expected).max()
+
+    def test_linear_kernel_warns_iff_n_by_n_condition_exceeds_limit(self):
+        rng = np.random.default_rng(12)
+
+        def nearly_equal_rows(n, m):
+            Y = np.ones((n, m))
+            Y[-1] += 1e-9 * np.arange(m)
+            return Y
+
+        shapes = [(8, 3), (3, 8), (4, 4)]
+        matrices = [rng.normal(size=shape) for shape in shapes]
+        matrices += [nearly_equal_rows(*shape) for shape in [(2, 2), (2, 3), (3, 2), (5, 2)]]
+        outcomes = set()
+        for Y in matrices:
+            n, m = Y.shape
+            for lam in (1e-13, 1e-9, 1e-5, 1.0):
+                condition = np.linalg.cond(Y @ Y.T + lam * np.eye(n))
+                assert not 1e11 < condition < 1e13  # well away from the limit
+                features = FeatureSet(Y, rng.normal(size=m))
+                warned = warns_ill_conditioned(features, LinearKernel(), lam)
+                assert warned == (condition > 1e12), (Y.shape, lam, condition)
+                outcomes.add(warned)
+        assert outcomes == {True, False}
+
+    def test_gaussian_warns_iff_condition_exceeds_limit(self):
+        # two equal rows: the system's eigenvalues are 2 + lam and lam
+        fs = FeatureSet(np.array([[0.5, 1.0], [0.5, 1.0]]), np.array([0.0, 1.0]))
+        for lam, warns in ((1e-14, True), (1e-6, False)):
+            assert (np.linalg.cond(GaussianKernel().gram(fs) + lam * np.eye(2)) > 1e12) == warns
+            assert warns_ill_conditioned(fs, GaussianKernel(), lam) == warns
+
+    def test_gaussian_gram_bits_match_textbook_formula(self):
+        rng = np.random.default_rng(8)
+        Y = rng.normal(size=(40, 5))
+        sq = np.einsum("ij,ij->i", Y, Y)
+        d2 = sq[:, None] + sq[None, :] - 2.0 * (Y @ Y.T)
+        expected = np.exp(-np.maximum(d2, 0.0) / 1.3**2)
+        got = GaussianKernel(1.3).gram(FeatureSet(Y, np.zeros(5)))
+        assert got.tobytes() == expected.tobytes()
 
     def test_prediction_consistency(self):
         # weighted sum of the data equals the textbook prediction directly

@@ -1,4 +1,6 @@
 import math
+import sys
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 from itertools import accumulate
@@ -242,6 +244,15 @@ class TestMisreportGrid:
         grid = misreport_grid((0.0, 1.0), 0)
         assert all(z >= 0 for z in grid)
         assert len(grid) >= 21
+
+    def test_zero_cost_grid_when_ten_times_max_overflows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = misreport_grid((0.0, 1e308), 0)
+        steps = np.linspace(0.0, sys.float_info.max, 21).tolist()
+        assert grid[0] == 0.0
+        assert len(set(steps)) == 21 and set(steps) <= set(grid)
+        assert all(map(math.isfinite, grid))
 
     def test_rational_grid_exact(self):
         costs = (Fraction(1), Fraction(2))
