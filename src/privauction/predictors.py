@@ -20,6 +20,7 @@ from .errors import (
     DegenerateKernelMass,
     EmptyInstance,
     IllConditionedWarning,
+    InstanceTooLarge,
     KOutOfRange,
     ParseError,
     SingularSystem,
@@ -45,6 +46,7 @@ __all__ = [
 
 DROP_TOLERANCE = 1e-12
 CONDITION_LIMIT = 1e12
+KERNEL_LIMIT = 8000  # most rows of a Gaussian kernel regression: O(n^3) time, two n x n arrays
 
 
 @dataclass(frozen=True)
@@ -230,12 +232,16 @@ def kernel_regression_weights(
 
     The linear kernel's are ridge's (`_ridge_solve`). Warns (IllConditionedWarning) when the
     n x n system's condition number exceeds 1e12; at n > m its eigenvalues are ridge's and lam.
+    A Gaussian kernel over more than `KERNEL_LIMIT` rows raises InstanceTooLarge before
+    its Gram matrix is built.
     """
     _check_lam(lam)
     if isinstance(kernel, LinearKernel):
         raw, spectrum = _ridge_solve(features, lam)
         condition = spectrum[-1] / (lam if features.n > features.m else spectrum[0])
     else:
+        if features.n > KERNEL_LIMIT:
+            raise InstanceTooLarge(f"Gaussian kernel regression limited to n <= {KERNEL_LIMIT}")
         gram = kernel.gram(features)
         gram.flat[:: features.n + 1] += lam  # the diagonal, in place
         raw, spectrum = _spd_solve(gram, kernel.against_query(features))

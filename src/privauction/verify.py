@@ -8,33 +8,19 @@ each of `MUTATIONS` swaps one of `mechanism`'s rule functions for a faulty
 one or scales the honest payments, so a sweep can show it catches the fault.
 
 The truthfulness sweep replays every misreport on the grid through
-`deviator_kernel` rather than the whole filter-sort-mechanism pipeline. The
-mechanism is a single-parameter threshold auction, so only the deviator's
-own payment and privacy loss respond to its report ``z``, and they are a
-step function of ``z`` (Myerson 1981; Archer and Tardos, FOCS 2001). While
-the deviator ``i`` is alive, the others' filter tests do not read ``z``, so
-the filter runs once per deviator with ``i``'s own test skipped; ``i``
-survives iff it passes against the final survivor total ``W'``, that is
-``W' - |w_i| > 0`` and ``|w_i| * z <= B * (W' - |w_i|)``. With the other
-survivors fixed, a step is named by ``i``'s insertion slot among them and,
-on that slot, the verdict of the prefix rule's own test on ``i``'s cost.
-Each test is monotone in ``z``, so along the sorted grid the steps come in
-runs whose ends are bisects of the grid (`deviator_kernel`'s walk). The
-mechanism runs once per step a deviator reaches, at most twice per slot, so
-O(n) times at O(n) each, and O(n) bisects find the runs; the sweep compares
-each run's utility once and takes only a failing run apart, into one witness
-per report. The result is bit for bit the pipeline's; the pipeline
-reference, `_deviation_utility`, lives in ``tests/test_verify.py``.
+`deviator_kernel` rather than the whole filter-sort-mechanism pipeline: a
+deviator's utility is a step function of its report (Myerson 1981; Archer
+and Tardos, FOCS 2001), and the kernel's docstring says why and how its
+walk finds the steps. The sweep compares each run of reports on one step
+once and takes only a failing run apart, into one witness per report.
 
 Float and rational mode run the same code. Rational mode's instances are
 exact (`AuctionInstance.exact`), so the misreport grid takes exact factors
 and straddles and every comparison a slack of exactly 0; float mode allows
 ``REL_TOL * max(1, |x|)`` on the budget and IR checks and
-``TRUTHFUL_SLACK`` on a deviation's gain. On exact input the kernel clears
-denominators once per instance, so the walk bisects integer keys and the
-mechanism's decisions compare Python ints; only the deviator's payment and
-privacy loss are divided back into `Fraction`: the mechanism's rules
-compare, and their callers divide.
+``TRUTHFUL_SLACK`` on a deviation's gain. On exact input the walk bisects
+integer keys and the mechanism's decisions compare Python ints; only the
+deviator's payment and privacy loss are divided back into `Fraction`.
 """
 
 import math
@@ -479,26 +465,25 @@ def deviator_kernel(instance: AuctionInstance, i: int, mutation: str | None = No
     ``i`` passes another survivor at the first report ``>=`` its cost when
     that survivor's row is smaller, else at the first report ``>`` it; and
     within a slot the verdict holds on a prefix. The bisects evaluate the
-    kernel's own float products, ``|w_i| * z`` and ``z * w([pos + 1])``,
-    which rounding keeps monotone, so each run holds exactly the reports
-    that share a step. A grid of `Fraction` reports on an exact instance
-    is bisected on integer keys instead (`_report_keys`): the reports and
-    the costs over one common denominator ``D``, and each test's threshold
-    on ``z`` rounded down to a multiple of ``1/D``, so no `Fraction` is
-    compared.
+    kernel's own cross-multiplied products, ``|w_i| * z`` and
+    ``z * w([pos + 1])``, which rounding keeps monotone, so each run holds
+    exactly the reports that share a step.
 
     Exact integers: every comparison in `mechanism.decide` and its rules is
     cross-multiplied and homogeneous, of equal degree in money (budget,
     costs) and in weight, so scaling money by a positive ``M`` and weights
-    by a positive ``E`` leaves every decision unchanged. On an instance whose
-    weights, costs and budget are all `Fraction`, ``E`` is the lcm of the
-    weight denominators (`AuctionInstance._integer_weights`, cached), and
-    a walk on integer keys scales money by ``M D``, where ``D`` is the keys'
-    denominator and ``M`` the budget's: a cost is its key times ``M``, the
-    budget its numerator times ``D``. Then `decide` runs on Python ints, and
-    ``i``'s payment and privacy loss divide by ``M D`` into `Fraction`, the
-    pipeline's value and type, whatever ``D``. A float grid takes the same
-    statements with ``M D = 1`` and ``/``, the pipeline's bits.
+    by a positive ``E`` leaves every decision unchanged. One body walks
+    every grid, with money counted in units of one key. On an instance
+    whose weights, costs and budget are all `Fraction`, a grid of
+    `Fraction` or int reports becomes integer keys over one common
+    denominator ``D`` (`_report_keys`), ``E`` is the lcm of the weight
+    denominators (`AuctionInstance._integer_weights`, cached) and ``M`` the
+    budget's: a key is ``M`` of money, the budget ``B M D`` an int. Then the
+    bisects and `decide` compare Python ints, and ``i``'s payment and
+    privacy loss divide by ``M D`` into `Fraction`, the pipeline's value and
+    type, whatever ``D``. Any other grid is its own keys, at unit 1 and with
+    ``/``: a float times the int 1 is that float, so the walk computes the
+    pipeline's bits.
     """
     name, factor = parse_mutation(mutation)
     rules = _MUTANT_RULES.get(name, _HONEST_RULES)
@@ -514,76 +499,33 @@ def deviator_kernel(instance: AuctionInstance, i: int, mutation: str | None = No
     rows = [j for j in order if j != i and j in survivors]  # the others, in canonical order
     other_wabs = [wabs[j] for j in rows]
     other_costs = [costs[j] for j in rows]
+    int_wabs = None if scaled is None else [scaled[j] for j in rows]
     # an unselected i's payment: the pipeline's first-position weight times 0
     zeros = w_i * 0, (wabs[rows[0]] * 0 if rows else None)
-    if scaled is not None:
-        int_w_i = scaled[i]
-        int_wabs = [scaled[j] for j in rows]
-        int_budget, scale_m = budget.numerator, budget.denominator  # B * M is an int
-        int_cap = int_budget * sum(int_wabs)  # B * (W' - |w_i|), scaled by M * E
-
-    def step(pos: int, own_cost, ws, ids, whole, others, scaled_budget, scale, divide):
-        """``i``'s payment and privacy loss on one step, from one `decide` run.
-
-        ``others`` are the other survivors' costs, and they, ``own_cost`` and
-        ``scaled_budget`` are money scaled by ``scale``, which ``divide`` undoes.
-        """
-        cs = others.copy()
-        cs.insert(pos, own_cost)
-        k, i_star, r, p_hat, rate = decide(ws, cs, ids, scaled_budget, whole, rules)
-        if checked:
-            check_single_winner(k, i_star, r)
-        own_w = ws[pos]
-        if rate is None:
-            selected = pos == i_star
-            if selected:
-                payment = budget if r is None else divide(p_hat[0], p_hat[1] * scale)
-            unselected = ws[:i_star] + ws[i_star + 1:]
-        else:
-            selected = pos < k
-            if selected:
-                payment = own_w * divide(rate[0], rate[1] * scale)
-            unselected = ws[k:]
-        if not selected:
-            payment = zeros[pos > 0]
-        if factor is not None:
-            payment = payment * factor
-        # Dclef.residual_weight and Dclef.epsilons, for i alone
-        resid = sum(unselected)
-        x_i = 1 if selected else 0
-        if resid == 0:
-            eps = math.inf if x_i else 0.0
-        else:
-            eps = divide(own_w * x_i, resid)
-        return payment, eps
 
     def walk(grid, true_cost) -> list:
-        size = len(grid)
         exact_keys = None if scaled is None else _report_keys(costs, grid, i)
-        integral = exact_keys is not None
-        if integral:
+        if exact_keys is None:  # the grid is its own keys: one key is one unit of money
+            keys, unit, cuts = grid, 1, other_costs
+            others, weights, own_w = other_costs, other_wabs, w_i
+            money, cap = budget, budget * residual
+            scale, divide = 1, operator.truediv
+        else:  # integer keys over D; money scaled by M * D, weights by E: a key is M of money
             keys, cost_keys, denominator = exact_keys
+            unit = budget.denominator
             cuts = [cost_keys[j] for j in rows]
-            # money scaled by M * D and weights by E: a report's cost is its key times M
-            others = [c * scale_m for c in cuts]
-            scaled_budget, scale, divide = int_budget * denominator, scale_m * denominator, Fraction
-        else:
-            keys = grid
-            cuts = others = other_costs
-            scaled_budget, scale, divide = budget, 1, operator.truediv
-        # each bisect finds the first report that fails a test monotone in z; on
-        # integer keys a test "z <= N / (E M)" reads "key <= N D // (E M)"
-        if residual <= 0:
-            survive = 0
-        elif integral:
-            survive = bisect_right(keys, int_cap * denominator // (int_w_i * scale_m))
-        else:
-            cap = budget * residual
-            survive = bisect_left(grid, True, key=lambda z: w_i * z > cap)
+            others = [c * unit for c in cuts]
+            weights, own_w = int_wabs, scaled[i]
+            money = budget.numerator * denominator
+            cap = money * sum(weights)  # B * (W' - |w_i|), scaled by M * D * E
+            scale, divide = unit * denominator, Fraction
+        size = len(keys)
+        # each bisect finds the first report that fails a test monotone in z
+        lead = own_w * unit
+        survive = 0 if residual <= 0 else bisect_left(keys, True, key=lambda z: lead * z > cap)
         runs = []
         start = 0
         last = len(rows)
-        weights, own_w = (int_wabs, int_w_i) if integral else (other_wabs, w_i)
         if survive:  # then i has company: residual > 0
             prefix = list(accumulate(weights, initial=weights[0] * 0))
         for pos in range(last + 1):
@@ -605,19 +547,39 @@ def deviator_kernel(instance: AuctionInstance, i: int, mutation: str | None = No
             through = (prefix[pos] if pos else own_w * 0) + own_w  # decide's prefix[pos + 1]
             if pos == last:  # the last slot has no prefix test of its own
                 split = start
-            elif integral:
-                bar = int_budget * (whole - through) * denominator // (through * scale_m)
-                split = bisect_right(keys, bar, start, end)
             else:
-                bar = budget * (whole - through)
-                split = bisect_left(grid, True, start, end, key=lambda z: not bar >= z * through)
+                bar, per = money * (whole - through), through * unit
+                split = bisect_left(keys, True, start, end, key=lambda z: not bar >= z * per)
             for lo, hi in ((start, split), (split, end)):  # the verdict holds, then fails
                 if lo == hi:
                     continue
-                own_cost = keys[lo] * scale_m if integral else grid[lo]
-                payment, eps = step(
-                    pos, own_cost, ws, ids, whole, others, scaled_budget, scale, divide
-                )
+                # i's payment and privacy loss on this step, from one decide run
+                cs = others.copy()
+                cs.insert(pos, keys[lo] * unit)
+                k, i_star, r, p_hat, rate = decide(ws, cs, ids, money, whole, rules)
+                if checked:
+                    check_single_winner(k, i_star, r)
+                if rate is None:
+                    selected = pos == i_star
+                    if selected:
+                        payment = budget if r is None else divide(p_hat[0], p_hat[1] * scale)
+                    unselected = ws[:i_star] + ws[i_star + 1:]
+                else:
+                    selected = pos < k
+                    if selected:
+                        payment = own_w * divide(rate[0], rate[1] * scale)
+                    unselected = ws[k:]
+                if not selected:
+                    payment = zeros[pos > 0]
+                if factor is not None:
+                    payment = payment * factor
+                # Dclef.residual_weight and Dclef.epsilons, for i alone
+                resid = sum(unselected)
+                x_i = 1 if selected else 0
+                if resid == 0:
+                    eps = math.inf if x_i else 0.0
+                else:
+                    eps = divide(own_w * x_i, resid)
                 runs.append((lo, hi, payment - true_cost * eps))
             start = end
         if survive < size:

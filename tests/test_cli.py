@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from privauction import cli
 from privauction.cli import _emit_json, main
+from privauction.predictors import KERNEL_LIMIT
 
 
 @pytest.fixture
@@ -444,6 +445,24 @@ class TestWeights:
         assert completed.stderr[end:] == "\n"
         assert error == {
             "error": "ValidationError", "message": "array must not contain infs or NaNs"
+        }
+
+    def test_gaussian_kernel_over_limit_exits_1(self, tmp_path):
+        feats = tmp_path / "f.csv"
+        feats.write_text("".join(f"{v}\n" for v in range(KERNEL_LIMIT + 1)))
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        completed = subprocess.run(
+            [sys.executable, "-m", "privauction.cli", "weights", str(feats),
+             "--method", "kernel-regression", "--lam", "1", "--query", "0"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        )
+        assert completed.returncode == 1
+        assert completed.stdout == ""
+        error, end = json.JSONDecoder().raw_decode(completed.stderr)
+        assert completed.stderr[end:] == "\n"
+        assert error == {
+            "error": "InstanceTooLarge",
+            "message": f"Gaussian kernel regression limited to n <= {KERNEL_LIMIT}",
         }
 
     def test_query_csv(self, runner, tmp_path):

@@ -24,9 +24,10 @@ from privauction import (
     nadaraya_watson_weights,
     ridge_weights,
 )
-from privauction.errors import IllConditionedWarning, ParseError, SingularSystem
+from privauction.errors import IllConditionedWarning, InstanceTooLarge, ParseError, SingularSystem
 from privauction.predictors import (
     DROP_TOLERANCE,
+    KERNEL_LIMIT,
     DerivedWeights,
     _drop_negligible,
     _spd_solve,
@@ -325,6 +326,17 @@ class TestKernelRegression:
         assert d.kept == ()
         with pytest.raises(EmptyInstance):
             build_instance(d, [1.0, 1.0], 1.0, ValueInterval(0.0, 1.0))
+
+    def test_gaussian_over_limit_raises_before_gram(self, monkeypatch):
+        def gram(self, features):
+            raise AssertionError("the Gram matrix was built")
+
+        monkeypatch.setattr(GaussianKernel, "gram", gram)
+        fs = FeatureSet(np.arange(KERNEL_LIMIT + 1.0).reshape(-1, 1), np.array([0.0]))
+        with pytest.raises(InstanceTooLarge, match=f"n <= {KERNEL_LIMIT}"):
+            kernel_regression_weights(fs, GaussianKernel(1.0), 1.0)
+        # the linear kernel solves ridge's 1 x 1 system at any n
+        assert kernel_regression_weights(fs, LinearKernel(), 1.0).method == "kernel-regression"
 
     def test_ill_conditioned_warning(self):
         Y = np.array([[1.0, 1.0 + 1e-9], [1.0, 1.0]])

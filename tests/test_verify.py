@@ -739,6 +739,8 @@ class TestKernelWalk:
                         cross_walks += len(grid) == len(grids[j])
             for j in range(instance.n):
                 check_walk(instance, j, misreport_grid(tuple(list(costs)), j))
+                if config.arithmetic_mode == "rational":  # a float grid on an exact instance
+                    check_walk(instance, j, tuple(map(float, grids[j])))
         assert cross_walks > 0  # some other deviator's grid is as long as the kernel's own
 
     @pytest.mark.parametrize("mutation", MUTATION_SPECS)
