@@ -4,8 +4,9 @@ The continuous benchmark fills the cheapest individuals completely, one
 individual fractionally, and nothing beyond, with the crossover chosen so the
 tight individually-rational payments exhaust the budget exactly. The integer
 oracle is an exact knapsack branch-and-bound (desk scale only), seeded with
-the greedy solution as a floor, that returns the lexicographically smallest
-optimal participation vector; it is the ground truth the mechanism's
+the greedy solution as a floor and, once a search runs long, bounded by the
+exact Pareto frontiers of its last items, that returns the lexicographically
+smallest optimal participation vector; it is the ground truth the mechanism's
 approximation guarantees are measured against. Both solutions are indexed
 by canonical position; their ``to_json`` reports them by input row through
 the row map of `instances.prepare`. Float and `Fraction` input share every
@@ -13,8 +14,11 @@ function here, and every check of `opt_bounds_check` is exact on the latter.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, chain, compress
+from operator import gt
 from typing import Sequence
 
 from .errors import DegenerateAllOnes, InstanceTooLarge, NotCanonical
@@ -35,6 +39,8 @@ __all__ = [
 
 ORACLE_LIMIT = 20
 REL_TOL = 1e-9  # relative slack of a float comparison; exact input gets none
+_FRONTIER_AFTER = 500  # oracle nodes visited before the frontier bound is built
+_FRONTIER_DEPTH = 8  # trailing items the frontier bound covers
 
 
 @dataclass(frozen=True)
@@ -219,6 +225,40 @@ def brute_force_opt(instance: AuctionInstance) -> OracleSolution:
     allows ``n`` ulps of the total weight: the bound sums in cost order and
     can round one ulp below the index-order value of a leaf it covers, and
     without that slack such a leaf, the optimum, would be cut.
+
+    A search still running after `_FRONTIER_AFTER` nodes builds an exact
+    completion bound for its last `_FRONTIER_DEPTH` items (Nemhauser &
+    Ullmann 1969): for each suffix ``i..n-1`` the Pareto frontier of (size,
+    value) over its subsets, sorted by size with strictly increasing values
+    and cut at the capacity plus ``room``. From then on a node with undecided
+    items ``i..`` is searched only if ``u = value + F_i(capacity - used +
+    room) + reach_slack``, with ``F_i(c)`` the best frontier value of size at
+    most ``c``, beats the incumbent and reaches the floor. Such frontiers
+    stay small on random instances (Beier & Vöcking 2003). Before the build
+    a node pays one countdown step and nothing else.
+
+    The test is one more conjunct beside the Dantzig tests, so the search
+    descends below a subset of the parent's nodes, and the answer is
+    unchanged if no cut subtree holds a leaf that would replace the
+    incumbent. Such a leaf has a value above the incumbent and at or above
+    the floor, so it suffices that ``u`` is at least the value the search
+    computes for every leaf below the node whose take tests pass. On ``Fraction`` input the
+    sums are exact, both allowances are zero and that holds as written. On
+    float input the search sums sizes and values in index order and the
+    frontier sums them in reverse order; for ``k`` nonnegative terms each
+    rounded sum lies within ``gamma_(k-1) = (k-1)u / (1 - (k-1)u)`` relative
+    of the exact one, with ``u = 2^-53`` (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., section 4.2). Rounding is monotone, so a
+    Pareto entry that dominates a subset's partial sum dominates its
+    extensions, and the lookup sees the subset or better. The two sums then
+    differ by at most ``2 gamma_n`` of their total, and the lookup's own
+    subtractions and additions add at most three more roundings: about
+    ``(2n + 3) u`` of the capacity for sizes, and of the total weight for
+    values. ``room`` and ``reach_slack`` allow ``4nu = 2n * 2^-52`` of those
+    totals, which covers it for every ``n >= 2``; a smaller instance has no
+    frontier. Equal float weights tie on every leaf, the allowance keeps
+    each tie open, and the frontier would only cost time, so no search with
+    them builds it.
     """
     n = instance.n
     if n > ORACLE_LIMIT:
@@ -237,7 +277,10 @@ def brute_force_opt(instance: AuctionInstance) -> OracleSolution:
     # Dantzig bound order of the undecided items: ascending cost is descending
     # profit/size, so on a canonical instance each tail is a plain index range.
     by_cost = instance._canonical_order
-    tails = [[j for j in by_cost if j >= i] for i in range(n + 1)]
+    if instance.is_canonical:
+        tails = [by_cost[i:] for i in range(n + 1)]
+    else:
+        tails = [[j for j in by_cost if j >= i] for i in range(n + 1)]
 
     def dantzig(i, value, used):
         """LP bound on the best value reachable with items i.. undecided."""
@@ -269,31 +312,73 @@ def brute_force_opt(instance: AuctionInstance) -> OracleSolution:
     # The cost-order bound can round below the index-order sum of a leaf it
     # covers, so on rounded input a branch stays open within n ulps of W.
     slack = zero if instance.exact else n * 2.0**-52 * instance.total_weight
+    room = reach_slack = zero  # the frontier bound's allowances, set when it is built
 
     x = [0] * n
     best_x = tuple(x)
     best = zero
+    # Nodes to visit before the next frontier test. Equal float weights tie on
+    # every leaf and the allowance keeps each tie open, so there a frontier
+    # would only cost time: a count below zero never reaches zero.
+    left = -1 if not instance.exact and instance.has_uniform_weights else _FRONTIER_AFTER
+    first = n  # nodes at depth first.. test their suffix's frontier
+    fronts = {}
 
-    def visit(i, value, used, chosen, bound):
-        """Search below a node whose bound beats the incumbent and the floor."""
-        nonlocal best, best_x
+    def build():
+        """Pareto frontiers of (size, value) for the last _FRONTIER_DEPTH suffixes."""
+        nonlocal first, room, reach_slack
+        if not instance.exact:  # rounded sums in a second order; see above
+            room, reach_slack = 2 * n * 2.0**-52 * capacity, 2 * slack
+        first = max(n - _FRONTIER_DEPTH, 1)
+        limit = capacity + room
+        level = [(zero, zero)]
+        for j in range(n - 1, first - 1, -1):
+            size, weight = sizes[j], wabs[j]
+            level += [(s + size, v + weight) for s, v in level if s + size <= limit]
+            level.sort()
+            values = [v for _, v in level]
+            level = list(compress(level, map(gt, values, chain((-1,), accumulate(values, max)))))
+            fronts[j] = [s for s, _ in level], [v for _, v in level]
+
+    def completes(i, value, used):
+        """Whether the exact completion bound of items i.. can still win.
+
+        The first call builds the frontiers; from then on every node tests.
+        """
+        nonlocal left
+        if not fronts:
+            build()
+        left = 1  # the next node tests too
+        if i < first:
+            return True
+        front_sizes, front_values = fronts[i]
+        k = bisect_right(front_sizes, capacity - used + room)
+        u = value + front_values[k - 1] + reach_slack
+        return u > best and u >= floor
+
+    def visit(i, value, used, bound):
+        """Search below a node whose bounds beat the incumbent and reach the floor."""
+        nonlocal best, best_x, left
         if i == n:
             # full participation stays excluded
-            if chosen < n and value > best and value >= floor:
+            if value > best and value >= floor and 0 in x:
                 best, best_x = value, tuple(x)
+            return
+        left -= 1
+        if not left and not completes(i, value, used):
             return
         skip = dantzig(i + 1, value, used)
         if skip > best and skip + slack >= floor:
-            visit(i + 1, value, used, chosen, skip)
+            visit(i + 1, value, used, skip)
         # Taking i only narrows the subtree, so the parent's bound holds.
         if bound > best and bound + slack >= floor and used + sizes[i] <= capacity:
             x[i] = 1
-            visit(i + 1, value + wabs[i], used + sizes[i], chosen + 1, bound)
+            visit(i + 1, value + wabs[i], used + sizes[i], bound)
             x[i] = 0
 
     root = dantzig(0, zero, zero)
     if root > best and root + slack >= floor:
-        visit(0, zero, zero, 0, root)
+        visit(0, zero, zero, root)
     resid = instance.total_weight - instance.weight_of(i for i in range(n) if best_x[i])
     payments = tuple(costs[i] * wabs[i] * best_x[i] / resid for i in range(n))
     objective = best if instance.exact else float(best)

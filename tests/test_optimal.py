@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import json
 import math
@@ -72,37 +73,79 @@ def reference_optimum(inst):
 
 
 def search_reference(inst):
-    """The oracle's own semantics by plain enumeration (n <= 12).
+    """The oracle's own semantics by plain enumeration (n <= 20).
 
-    Vectors go in lexicographic order, exclude first. A vector is feasible
-    when the size sum, run in index order, stays within the capacity at every
-    taken item, and its value is summed in index order from zero, so on float
-    input every value is the one the search computes for that leaf. The first
-    vector of the greatest value wins.
+    Vectors are enumerated by interleaved doubling in index order, so x_0 is
+    the most significant bit of a vector's position and positions run in
+    lexicographic order, exclude first. Sizes and values are summed in index
+    order from zero, so on float input every sum is the one the search
+    computes for that leaf; the size sums never decrease, so a vector whose
+    total fits passed every take test on the way. The full vector is
+    excluded, and the first vector of the greatest value wins.
     """
     n = inst.n
     wabs = inst.abs_weights
     costs = inst.unit_costs
     if all(v == 0 for v in costs):
         return (1,) * n, inst.total_weight
-    sizes = [wabs[i] * (costs[i] + inst.budget) for i in range(n)]
     capacity = inst.budget * inst.total_weight
-    zero = wabs[0] * 0
-    best_x, best = None, None
-    for x in itertools.product((0, 1), repeat=n):
-        if all(x):
-            continue
-        used = value = zero
-        for i in range(n):
-            if x[i]:
-                if used + sizes[i] > capacity:
-                    break
-                used += sizes[i]
-                value += wabs[i]
-        else:
-            if best is None or value > best:
-                best_x, best = x, value
-    return best_x, best
+    dtype = object if inst.exact else float
+    used = np.zeros(1, dtype) + wabs[0] * 0
+    value = used.copy()
+    for i in range(n):
+        size = wabs[i] * (costs[i] + inst.budget)
+        used = np.stack([used, used + size], axis=1).ravel()
+        value = np.stack([value, value + wabs[i]], axis=1).ravel()
+    value[used > capacity] = -1
+    value[-1] = -1
+    best = int(np.argmax(value))
+    return tuple((best >> (n - 1 - i)) & 1 for i in range(n)), value[best]
+
+
+class TestSearchReference:
+    """The numpy reference against a plain loop over `itertools.product`."""
+
+    @staticmethod
+    def product_reference(inst):
+        n = inst.n
+        wabs = inst.abs_weights
+        costs = inst.unit_costs
+        capacity = inst.budget * inst.total_weight
+        best_x, best = None, None
+        for x in itertools.product((0, 1), repeat=n):
+            if all(x):
+                continue
+            used = value = wabs[0] * 0
+            for i in range(n):  # index order, capacity checked at every take
+                if x[i]:
+                    used += wabs[i] * (costs[i] + inst.budget)
+                    value += wabs[i]
+                    if used > capacity:
+                        break
+            else:
+                if best is None or value > best:
+                    best_x, best = x, value
+        return best_x, best
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_a_plain_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 9))
+        inst = make_instance(
+            rng.lognormal(0, 1, n) * rng.choice([-1.0, 1.0], n),
+            rng.uniform(0, 2, n),
+            float(rng.uniform(0.05, 4)),
+        )
+        if seed % 3 == 0:
+            inst = inst.to_rational()
+        elif seed % 3 == 1:  # equal weights: ties everywhere
+            inst = make_instance([inst.abs_weights[0]] * n, inst.unit_costs, inst.budget)
+        assert search_reference(inst) == self.product_reference(inst)
+
+
+def oracle_instance(index):
+    """An instance of the approximation sweep's family (n 14-20, signed weights), seed 3."""
+    return generate_instance(SweepConfig(n_range=(14, 20), rng_seed=3), index)
 
 
 class TestFractionalOptimum:
@@ -406,6 +449,74 @@ class TestSearchSemantics:
         sol = brute_force_opt(inst)
         assert sol.x == (1, 0, 1, 1, 1)
         assert sol.objective == 4.773999403740906
+
+
+class TestFrontierBound:
+    """The exact completion bound that a long search builds for its last items."""
+
+    @staticmethod
+    def frontier_lookups(monkeypatch, inst):
+        """The oracle's answer and how many frontier lookups it made."""
+        lookups = 0
+
+        def counted(*args):
+            nonlocal lookups
+            lookups += 1
+            return bisect.bisect_right(*args)
+
+        monkeypatch.setattr(optimal, "bisect_right", counted)
+        return brute_force_opt(inst), lookups
+
+    def test_hard_instance_uses_the_frontier(self, monkeypatch):
+        inst = oracle_instance(2701)
+        sol, lookups = self.frontier_lookups(monkeypatch, inst)
+        assert lookups > 0
+        assert (sol.x, sol.objective) == search_reference(inst)
+
+    def test_all_equal_uses_the_frontier(self, monkeypatch):
+        inst = make_instance([1] * 20, [1] * 20, 0.3).to_rational()
+        sol, lookups = self.frontier_lookups(monkeypatch, inst)
+        assert lookups > 0
+        assert sol.x == (0,) * 16 + (1,) * 4
+        assert sol.objective == Fraction(4)
+
+    def test_small_instance_skips_the_frontier(self, monkeypatch):
+        inst = make_instance([1, 2, 3, 1, 2], [0.5, 1, 1.5, 2, 2.5], 1)
+        sol, lookups = self.frontier_lookups(monkeypatch, inst)
+        assert lookups == 0
+        assert (sol.x, sol.objective) == search_reference(inst)
+
+    @pytest.mark.parametrize("weight", [1.0, 0.7])
+    def test_equal_float_weights_skip_the_frontier(self, monkeypatch, weight):
+        # every leaf ties, and the float allowance would keep each tie open
+        inst = make_instance([weight] * 20, [1] * 20, 0.3)
+        sol, lookups = self.frontier_lookups(monkeypatch, inst)
+        assert lookups == 0
+        assert sol.x == (0,) * 16 + (1,) * 4
+        assert (sol.x, sol.objective) == search_reference(inst)
+
+    def test_matches_search_reference_up_to_twenty(self):
+        for index in range(100):
+            inst = oracle_instance(index)
+            sol = brute_force_opt(inst)
+            assert (sol.x, sol.objective) == search_reference(inst), index
+
+    def test_frontier_from_the_root_keeps_answers(self, monkeypatch):
+        # Weights k/d tie at rounding level, where a bound without its slack
+        # for the two summation orders cuts the branch that holds the answer.
+        rng = np.random.default_rng(7)
+        cases = []
+        for _ in range(150):
+            n = int(rng.integers(6, 15))
+            d = int(rng.integers(2, 11))
+            cases.append(make_instance(
+                rng.integers(1, 12, n) / d, rng.integers(0, 12, n) / d, rng.integers(1, 30) / 10
+            ))
+        cases += [inst.to_rational() for inst in cases[::10]]
+        plain = [brute_force_opt(inst) for inst in cases]
+        monkeypatch.setattr(optimal, "_FRONTIER_AFTER", 1)
+        monkeypatch.setattr(optimal, "_FRONTIER_DEPTH", optimal.ORACLE_LIMIT)
+        assert [brute_force_opt(inst) for inst in cases] == plain
 
 
 class TestOptBoundsCheck:
