@@ -18,7 +18,7 @@ from itertools import compress, repeat
 from pathlib import Path
 from typing import Any, Sequence
 
-from .errors import EmptyInstance, ParseError, ValidationError
+from .errors import EmptyInstance, NotCanonical, ParseError, ValidationError
 
 __all__ = [
     "ValueInterval",
@@ -53,25 +53,18 @@ def _check_finite(value: Any, what: str) -> None:
 
 
 _NUMBER_TYPES = frozenset((int, float, Fraction))
-_EXACT_TYPES = frozenset((int, Fraction))
 
 
 def _check_entries(values: tuple, what: str, all_pass, reason: str) -> None:
     """Raise on the first entry that is not a finite number or that ``all_pass`` rejects.
 
-    One C-level pass reads the entry types. When every entry is a float, or
-    every one an int or `Fraction` (always finite), and ``all_pass(values)``
-    clears them all at once, nothing more is done. Otherwise the entries are
-    checked one by one, each as a 1-tuple, so the error names the first
-    offending index.
+    One C-level pass reads the entry types. When every entry is a finite
+    float and ``all_pass(values)`` clears them all at once, nothing more is
+    done. Otherwise the entries are checked one by one, each as a 1-tuple, so
+    the error names the first offending index.
     """
-    kinds = set(map(type, values))
-    if kinds == {float}:
-        if all(map(math.isfinite, values)) and all_pass(values):
-            return
-    elif kinds and kinds <= _EXACT_TYPES:
-        if all_pass(values):
-            return
+    if set(map(type, values)) == {float} and all(map(math.isfinite, values)) and all_pass(values):
+        return
     for i, value in enumerate(values):
         _check_finite(value, f"{what} at index {i}")
         if not all_pass((value,)):
@@ -168,7 +161,7 @@ class AuctionInstance:
         """Total absolute weight of an index subset."""
         return sum(map(self.abs_weights.__getitem__, indices))
 
-    @property
+    @cached_property
     def is_canonical(self) -> bool:
         v = self.unit_costs
         return all(map(operator.le, v, v[1:]))
@@ -211,11 +204,6 @@ class AuctionInstance:
     def _first_round(self) -> list:
         """The filter's first round, who fails at the full total; see `filter_survivors`."""
         return _round_violators(self, range(self.n), self.total_weight)
-
-    @cached_property
-    def _canonical_order(self) -> tuple:
-        """Positions by unit cost, a stable sort, so ties keep position order."""
-        return tuple(sorted(range(self.n), key=self.unit_costs.__getitem__))
 
     @cached_property
     def _integer_weights(self) -> list | None:
@@ -272,13 +260,21 @@ def canonicalize(instance: AuctionInstance) -> tuple[AuctionInstance, tuple[int,
     """Sort individuals by non-decreasing unit cost, ties by original index.
 
     Returns the sorted instance and ``order``, with ``order[j]`` the original
-    position of sorted position ``j``: the instance's cached `_canonical_order`.
-    Idempotent: a canonical instance is returned as it is, with the identity order.
+    position of sorted position ``j``. This is the one cost sort: the
+    mechanism, the oracle, the relaxation and `verify.deviator_kernel` reject
+    any other order (`NotCanonical`). Idempotent: a canonical instance is
+    returned as it is, with the identity order.
     """
     if instance.is_canonical:
         return instance, tuple(range(instance.n))
-    order = instance._canonical_order
+    order = tuple(sorted(range(instance.n), key=instance.unit_costs.__getitem__))
     return instance.subset(order), order
+
+
+def _require_canonical(instance: AuctionInstance) -> None:
+    """Raise NotCanonical unless the unit costs are sorted, as `canonicalize` leaves them."""
+    if not instance.is_canonical:
+        raise NotCanonical("unit costs must be sorted; canonicalize the instance first")
 
 
 def _fails(w, cost, budget, total) -> bool:

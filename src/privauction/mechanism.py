@@ -27,9 +27,9 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Sequence
 
-from .errors import EmptyInstance, NotCanonical, ValidationError
+from .errors import EmptyInstance, ValidationError
 from .estimator import Dclef
-from .instances import AuctionInstance, _json_float, _json_floats, scatter
+from .instances import AuctionInstance, _json_float, _json_floats, _require_canonical, scatter
 
 __all__ = [
     "MechanismOutcome",
@@ -177,8 +177,7 @@ def run_rules(instance: AuctionInstance, identity, prefix_rule, star_rule, rate_
     The rate and the single-winner payment are divided here, once each.
     """
     n = instance.n
-    if not instance.is_canonical:
-        raise NotCanonical("unit costs must be sorted; canonicalize the instance first")
+    _require_canonical(instance)
     ids = range(n) if identity is None else identity
     if len(ids) != n:
         raise ValidationError("identity labels do not match the instance size")

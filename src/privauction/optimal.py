@@ -7,7 +7,9 @@ oracle is an exact knapsack branch-and-bound (desk scale only), seeded with
 the greedy solution as a floor and, once a search runs long, bounded by the
 exact Pareto frontiers of its last items, that returns the lexicographically
 smallest optimal participation vector; it is the ground truth the mechanism's
-approximation guarantees are measured against. Both solutions are indexed
+approximation guarantees are measured against. Both take a canonical
+instance, as the mechanism does, and raise NotCanonical on any other: the
+cost order is `instances.canonicalize`'s alone. Both solutions are indexed
 by canonical position; their ``to_json`` reports them by input row through
 the row map of `instances.prepare`. Float and `Fraction` input share every
 function here, and every check of `opt_bounds_check` is exact on the latter.
@@ -21,8 +23,10 @@ from itertools import accumulate, chain, compress
 from operator import gt
 from typing import Sequence
 
-from .errors import DegenerateAllOnes, InstanceTooLarge, NotCanonical
-from .instances import AuctionInstance, _double, _json_float, _json_floats, scatter
+from .errors import DegenerateAllOnes, InstanceTooLarge
+from .instances import (
+    AuctionInstance, _double, _json_float, _json_floats, _require_canonical, scatter,
+)
 from .mechanism import MechanismOutcome, fair_inner_product
 
 __all__ = [
@@ -77,8 +81,7 @@ def fractional_optimum(instance: AuctionInstance) -> FractionalSolution:
     tight-budget identity exactly. The solution never clamps: the crossover
     choice itself keeps the fraction inside [0, 1], which is asserted.
     """
-    if not instance.is_canonical:
-        raise NotCanonical("unit costs must be sorted; canonicalize the instance first")
+    _require_canonical(instance)
     n = instance.n
     wabs = instance.abs_weights
     costs = instance.unit_costs
@@ -211,20 +214,23 @@ def brute_force_opt(instance: AuctionInstance) -> OracleSolution:
     ``sum |w_i|(v_i + B) x_i <= B W`` with profit ``|w_i|``. A depth-first
     search fixes ``x_i = 0`` before ``x_i = 1`` in index order and prunes a
     node once its Dantzig bound cannot beat the incumbent, so ties resolve to
-    the lexicographically smallest optimal vector. Float and ``Fraction``
-    instances share the search; rational input is solved exactly. Full
-    participation is excluded (its noise scale is zero), except in the
-    all-costs-zero corner where it is free and optimal by inspection.
+    the lexicographically smallest optimal vector. The instance must be
+    canonical, as `instances.canonicalize` leaves it (else NotCanonical), so
+    index order is cost order. Float and ``Fraction`` instances share the
+    search; rational input is solved exactly. Full participation is excluded
+    (its noise scale is zero), except in the all-costs-zero corner where it
+    is free and optimal by inspection.
 
-    The search is seeded with the greedy leaf (Horowitz & Sahni 1974): the
-    items that fit in cost order, replayed in index order along the take
-    path. Its value is a floor, not an incumbent: a leaf is accepted only at
-    or above it and a node is entered only if its bound can reach it, while
-    the incumbent still starts at zero and is replaced only on a strict
+    The search is seeded with the greedy leaf (Horowitz & Sahni 1974): each
+    item that still fits, in cost order, which is the take path itself. Its
+    value is a floor, not an incumbent: a leaf is accepted only at or above
+    it and a node is entered only if its bound can reach it, while the
+    incumbent still starts at zero and is replaced only on a strict
     improvement, so the tie rule is unchanged. On float input the floor test
-    allows ``n`` ulps of the total weight: the bound sums in cost order and
-    can round one ulp below the index-order value of a leaf it covers, and
-    without that slack such a leaf, the optimum, would be cut.
+    allows ``n`` ulps of the total weight: the bound adds the undecided items
+    in its own sequence and can round one ulp below the value the search
+    sums for a leaf it covers, and without that slack such a leaf, the
+    optimum, would be cut.
 
     A search still running after `_FRONTIER_AFTER` nodes builds an exact
     completion bound for its last `_FRONTIER_DEPTH` items (Nemhauser &
@@ -263,6 +269,7 @@ def brute_force_opt(instance: AuctionInstance) -> OracleSolution:
     n = instance.n
     if n > ORACLE_LIMIT:
         raise InstanceTooLarge(f"exact oracle limited to n <= {ORACLE_LIMIT}")
+    _require_canonical(instance)
     wabs = instance.abs_weights
     costs = instance.unit_costs
     budget = instance.budget
@@ -274,13 +281,8 @@ def brute_force_opt(instance: AuctionInstance) -> OracleSolution:
 
     sizes = [wabs[i] * (costs[i] + budget) for i in range(n)]
     capacity = budget * instance.total_weight
-    # Dantzig bound order of the undecided items: ascending cost is descending
-    # profit/size, so on a canonical instance each tail is a plain index range.
-    by_cost = instance._canonical_order
-    if instance.is_canonical:
-        tails = [by_cost[i:] for i in range(n + 1)]
-    else:
-        tails = [[j for j in by_cost if j >= i] for i in range(n + 1)]
+    # Dantzig bound order of the undecided items: ascending cost, descending profit/size
+    tails = [range(i, n) for i in range(n + 1)]
 
     def dantzig(i, value, used):
         """LP bound on the best value reachable with items i.. undecided."""
@@ -292,25 +294,16 @@ def brute_force_opt(instance: AuctionInstance) -> OracleSolution:
         return value
 
     zero = wabs[0] * 0
-    # The greedy leaf: fill in cost order, then replay the picked set along
-    # the search's own take path, so its value is a leaf value the search
-    # reaches bit for bit. No optimum lies below it.
-    picked, used = set(), zero
-    for j in by_cost:
-        if used + sizes[j] <= capacity:
-            picked.add(j)
-            used += sizes[j]
-    floor, value, used = zero, zero, zero
-    for i in sorted(picked):
-        if used + sizes[i] > capacity:
-            break
-        used += sizes[i]
-        value += wabs[i]
-    else:
-        if 0 < len(picked) < n:
-            floor = value
-    # The cost-order bound can round below the index-order sum of a leaf it
-    # covers, so on rounded input a branch stays open within n ulps of W.
+    # The greedy leaf: its fill in cost order is a take path, so the search reaches its value.
+    value, used, taken = zero, zero, 0
+    for i in range(n):
+        if used + sizes[i] <= capacity:
+            used += sizes[i]
+            value += wabs[i]
+            taken += 1
+    floor = value if 0 < taken < n else zero
+    # A bound can round below the sum the search computes for a leaf it covers,
+    # so on rounded input a branch stays open within n ulps of W.
     slack = zero if instance.exact else n * 2.0**-52 * instance.total_weight
     room = reach_slack = zero  # the frontier bound's allowances, set when it is built
 
@@ -431,8 +424,6 @@ def opt_bounds_check(
     Violations are reported as failed checks, never raised. Each allows a
     slack of `REL_TOL`, or none on exact input (`AuctionInstance.exact`).
     """
-    if not instance.is_canonical:
-        raise NotCanonical("unit costs must be sorted; canonicalize the instance first")
     if outcome is None:
         outcome = fair_inner_product(instance)
     oracle = brute_force_opt(instance)

@@ -12,7 +12,8 @@ The truthfulness sweep replays every misreport on the grid through
 deviator's utility is a step function of its report (Myerson 1981; Archer
 and Tardos, FOCS 2001), and the kernel's docstring says why and how its
 walk finds the steps. The sweep compares each run of reports on one step
-once and takes only a failing run apart, into one witness per report.
+once and takes only a failing run apart, into one witness per report. Like
+the mechanism and the exact oracle, the kernel takes canonical instances.
 
 Float and rational mode run the same code. Rational mode's instances are
 exact (`AuctionInstance.exact`), so the misreport grid takes exact factors
@@ -37,7 +38,9 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import EmptyInstance, ParameterOutOfRange, ValidationError
-from .instances import AuctionInstance, ValueInterval, _json_float, filter_survivors, prepare
+from .instances import (
+    AuctionInstance, ValueInterval, _json_float, _require_canonical, filter_survivors, prepare,
+)
 from .mechanism import (
     check_single_winner,
     decide,
@@ -443,9 +446,9 @@ def deviator_kernel(instance: AuctionInstance, i: int, mutation: str | None = No
     ``W' - |w_i| > 0`` and ``|w_i| * z <= B * (W' - |w_i|)``, tested in the
     filter's own cross-multiplied form. Otherwise its utility is 0.
 
-    A step per slot and verdict: the other survivors are sorted by
-    ``(cost, input row)`` (`AuctionInstance._canonical_order`) and ``i`` goes
-    in with key ``(z, i)``, the canonical order `instances.prepare` produces.
+    A step per slot and verdict: the canonical ``instance`` (else NotCanonical)
+    lists the other survivors by ``(cost, position)``, and ``i`` goes in with
+    key ``(z, i)``, the canonical order `instances.prepare` produces.
     With that slot ``pos`` fixed, the mechanism reads ``z`` in one place that
     can change ``i``'s outcome: the prefix rule's test at ``t = pos + 1``,
     ``B * (W - w([pos + 1])) >= z * w([pos + 1])``, whose two sums depend
@@ -485,18 +488,17 @@ def deviator_kernel(instance: AuctionInstance, i: int, mutation: str | None = No
     ``/``: a float times the int 1 is that float, so the walk computes the
     pipeline's bits.
     """
+    _require_canonical(instance)
     name, factor = parse_mutation(mutation)
     rules = _MUTANT_RULES.get(name, _HONEST_RULES)
     checked = name not in _MUTANT_RULES
     budget = instance.budget
     wabs, costs = instance.abs_weights, instance.unit_costs
-    w_i = wabs[i]
-    order, scaled = instance._canonical_order, instance._integer_weights
+    w_i, scaled = wabs[i], instance._integer_weights
 
     alive, total = filter_survivors(instance, exempt=i)
     residual = total - w_i  # <= 0: no other survivor weight, i is filtered whatever it reports
-    survivors = set(alive)
-    rows = [j for j in order if j != i and j in survivors]  # the others, in canonical order
+    rows = [j for j in alive if j != i]  # the others, in canonical order
     other_wabs = [wabs[j] for j in rows]
     other_costs = [costs[j] for j in rows]
     int_wabs = None if scaled is None else [scaled[j] for j in rows]

@@ -281,6 +281,12 @@ class TestBruteForceOpt:
         with pytest.raises(InstanceTooLarge):
             brute_force_opt(inst)
 
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_requires_canonical(self, exact):
+        inst = make_instance([1, 2, 3], [0.5, 2, 1], 1)
+        with pytest.raises(NotCanonical, match="canonicalize the instance first"):
+            brute_force_opt(inst.to_rational() if exact else inst)
+
     def test_feasibility_of_returned_solution(self):
         rng = np.random.default_rng(21)
         for _ in range(100):
@@ -344,10 +350,10 @@ class TestBranchAndBoundCrossCheck:
             n = int(rng.integers(2, 13))
             inst = make_instance(
                 rng.lognormal(0, 1, n) * rng.choice([-1.0, 1.0], n),
-                rng.uniform(0, 2, n),  # unsorted: the bound must reorder
+                rng.uniform(0, 2, n),  # drawn in any order; the oracle takes it sorted
                 float(rng.uniform(0.1, 4)),
             )
-            self.check_float(inst)
+            self.check_float(canonicalize(inst)[0])
 
     def test_uniform_weight_floats(self):
         config = SweepConfig(n_range=(2, 12), weight_distribution="uniform", rng_seed=42)
@@ -408,14 +414,14 @@ class TestSearchSemantics:
 
     @given(
         seed=st.integers(0, 2**32 - 1),
-        family=st.sampled_from(["unsorted", "cost-ties", "uniform", "rational"]),
+        family=st.sampled_from(["any-order", "cost-ties", "uniform", "rational"]),
     )
     @settings(max_examples=300, deadline=None)
     def test_matches_search_reference(self, seed, family):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 13))
         weights = rng.lognormal(0, 1, n) * rng.choice([-1.0, 1.0], n)
-        costs = rng.uniform(0, 2, n)  # unsorted: the bound must reorder
+        costs = rng.uniform(0, 2, n)  # drawn in any order; the oracle takes it sorted
         budget = float(rng.uniform(0.05, 4))
         if family == "cost-ties":
             costs = rng.choice(rng.uniform(0, 2, 3), n)
@@ -431,24 +437,31 @@ class TestSearchSemantics:
                 Fraction(int(rng.integers(1, 30)), 10),
                 UNIT,
             )
+        inst = canonicalize(inst)[0]
         sol = brute_force_opt(inst)
         assert (sol.x, sol.objective) == search_reference(inst)
 
     def test_bound_one_ulp_below_optimal_leaf(self):
-        # The Dantzig bound after taking row 0 rounds to 4.7739994037409055,
-        # one ulp below the optimum's index-order value; a floor test without
-        # slack cut that branch and returned the zero vector.
+        # The search builds its frontiers after 500 nodes. After taking rows
+        # 0-2, the frontier bound, summed in the frontier's order, rounds to
+        # 9.36582765200146, one ulp below the optimum's index-order value; a
+        # floor test without the float slack cut that branch and returned the
+        # zero vector.
         inst = AuctionInstance(
-            (1.3722493713795019, -19.418732848230754, -1.157862722137618,
-             -0.9926086319318717, -1.251278678291914),
-            (1.2951580021189417, 0.8995888580571936, 1.4624149790534118,
-             0.3743832961626392, 1.7958460414121196),
-            3.654705255761879,
+            (0.7169081967807504, -0.963458963704609, 0.9080664735487807,
+             -0.9008466804754341, -3.2596286163238637, 1.0254408528402137,
+             -0.30786061419311417, -0.39555317590102607, -0.8880640782336698,
+             13.224218581761198),
+            (0.009566827119965593, 0.1175153214879685, 0.21511521390851662,
+             0.44634199501058625, 0.5402294458625514, 0.7438724675171393,
+             0.7667511013121817, 1.0792005509351446, 1.1927225495577323,
+             1.3247483384035386),
+            0.721322739032219,
             UNIT,
         )
         sol = brute_force_opt(inst)
-        assert sol.x == (1, 0, 1, 1, 1)
-        assert sol.objective == 4.773999403740906
+        assert sol.x == (1,) * 9 + (0,)
+        assert sol.objective == 9.365827652001462
 
 
 class TestFrontierBound:
@@ -509,9 +522,9 @@ class TestFrontierBound:
         for _ in range(150):
             n = int(rng.integers(6, 15))
             d = int(rng.integers(2, 11))
-            cases.append(make_instance(
+            cases.append(canonicalize(make_instance(
                 rng.integers(1, 12, n) / d, rng.integers(0, 12, n) / d, rng.integers(1, 30) / 10
-            ))
+            ))[0])
         cases += [inst.to_rational() for inst in cases[::10]]
         plain = [brute_force_opt(inst) for inst in cases]
         monkeypatch.setattr(optimal, "_FRONTIER_AFTER", 1)

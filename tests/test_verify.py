@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 from privauction import (
     AuctionInstance,
     EmptyInstance,
+    NotCanonical,
     ParameterOutOfRange,
     ValidationError,
     ValueInterval,
     brute_force_opt,
+    canonicalize,
     fair_inner_product,
     prepare,
 )
@@ -182,7 +184,7 @@ class TestGenerateInstance:
         assert generate_instance(cfg, 0) != generate_instance(cfg, 1)
 
     def test_always_canonical_and_filtered(self):
-        from privauction import canonicalize, filter_assumption1
+        from privauction import filter_assumption1
 
         cfg = SweepConfig(n_range=(2, 9), instance_count=50, rng_seed=7)
         for idx in range(50):
@@ -422,7 +424,7 @@ def _outcome(call):
 
 @st.composite
 def deviation_instances(draw):
-    """Small instances, filtered or not, in either order, float or Fraction.
+    """Small canonical instances, filtered or not, float or Fraction.
 
     Weights and costs come from short grids so that weight ties, cost ties
     and misreports equal to another's cost are common; low budgets make the
@@ -433,9 +435,9 @@ def deviation_instances(draw):
     weights = [draw(magnitudes) * draw(st.sampled_from([1, -1])) for _ in range(n)]
     costs = draw(st.lists(st.sampled_from([0, 0.3, 1, 1, 2, 3, 7]), min_size=n, max_size=n))
     budget = draw(st.sampled_from([0.25, 0.5, 1, 2, 5, 40]))
-    instance = AuctionInstance(
+    instance = canonicalize(AuctionInstance(
         tuple(float(w) for w in weights), tuple(float(c) for c in costs), float(budget), UNIT
-    )
+    ))[0]
     rational = draw(st.booleans())
     return (instance.to_rational() if rational else instance), rational
 
@@ -446,7 +448,7 @@ def _fractions(*values):
 
 @st.composite
 def non_dyadic_instances(draw):
-    """Exact instances whose denominators are not powers of two.
+    """Exact canonical instances whose denominators are not powers of two.
 
     `deviation_instances` takes its fractions from doubles, so its
     denominators are powers of two. Here weights, costs and budget have
@@ -459,7 +461,7 @@ def non_dyadic_instances(draw):
     costs = [draw(_fractions("0", "1/3", "1", "1", "2/7", "5/11", "3", "22/7")) for _ in range(n)]
     budget = draw(_fractions("1/7", "1/3", "5/7", "1", "20/11", "40/3"))
     interval = ValueInterval(Fraction(0), Fraction(1))
-    return AuctionInstance(tuple(weights), tuple(costs), budget, interval)
+    return canonicalize(AuctionInstance(tuple(weights), tuple(costs), budget, interval))[0]
 
 
 class TestDeviatorKernel:
@@ -521,6 +523,12 @@ class TestDeviatorKernel:
                 assert type(utility) is Fraction or (type(utility) is int and utility == 0), (
                     i, z, utility,
                 )
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_requires_canonical(self, exact):
+        inst = AuctionInstance((1.0, 2.0, 3.0), (0.5, 2.0, 1.0), 1.0, UNIT)
+        with pytest.raises(NotCanonical, match="canonicalize the instance first"):
+            deviator_kernel(inst.to_rational() if exact else inst, 0)
 
     def test_survival_threshold_matches_filter(self):
         # i = 0 survives iff z <= B (W' - |w_0|) / |w_0| = 2

@@ -20,8 +20,8 @@ whether the change kept its reports byte-identical. The families:
   rows and empty instances, in float and rational mode;
 - ``oracle``: ``brute_force_opt``'s vector, objective and payments on every
   weight and cost distribution of ``generate_instance`` at n 2-20, on
-  rational integer-grid instances, and on raw (uncanonicalized) instances
-  with unsorted costs, cost ties or uniform weights;
+  rational integer-grid instances, and on raw draws (unfiltered, costs in
+  any order, cost ties or uniform weights), each canonicalized first;
 - ``commands``: exit code, stdout and stderr of ``fractional`` (JSON and
   CSV), ``oracle --output csv`` and ``run --compare-opt --output csv`` on the
   ``cli`` corpus in float and rational mode, and of ``weights`` on a seeded
@@ -75,6 +75,7 @@ from privauction import (
     PrivauctionError,
     ValueInterval,
     brute_force_opt,
+    canonicalize,
     check_tradeoff_bound,
     evaluate,
     privacy_index_exact,
@@ -204,7 +205,7 @@ def kernel():
 
 
 def _raw_instances(count: int):
-    """Unfiltered instances as given: unsorted costs, cost ties, uniform weights."""
+    """Unfiltered draws, canonicalized: costs in any order, cost ties, uniform weights."""
     rng = np.random.default_rng(13)
     for index in range(count):
         n = int(rng.integers(2, 21))
@@ -214,10 +215,10 @@ def _raw_instances(count: int):
             costs = rng.choice(rng.uniform(0.0, 2.0, 3), n)
         elif index % 3 == 2:
             weights = np.full(n, rng.lognormal(0.0, 1.0))
-        yield AuctionInstance(
+        yield canonicalize(AuctionInstance(
             tuple(weights.tolist()), tuple(costs.tolist()), float(rng.uniform(0.05, 4.0)),
             ValueInterval(0.0, 1.0),
-        )
+        ))[0]
 
 
 def oracle():
