@@ -10,7 +10,7 @@ entries never contribute to the predictor.
 import csv
 import warnings
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from operator import methodcaller
 from typing import Sequence
 
@@ -317,28 +317,23 @@ def _parse_float(cell: str) -> float | None:
     return value
 
 
-def _split_matrix(text: str) -> np.ndarray | None:
-    """The matrix of CSV text without quotes or ids, or None when the full pass must decide.
+def _rows(text: str):
+    """The non-blank rows of CSV text; text with no ``"`` splits on commas as in `csv.reader`."""
+    lines = text.splitlines()
+    if '"' in text:
+        return filter(None, csv.reader(lines))
+    return map(methodcaller("split", ","), filter(None, lines))
 
-    Splitting a line on commas gives the row `csv.reader` gives for text
-    without quotes. Each line is split only while its cells are converted,
-    so no table of cells is held. Empty text, a header alone, ragged rows
-    and a non-numeric cell give None.
-    """
-    lines = list(filter(None, text.splitlines()))
-    if lines and all(_parse_float(cell) is None for cell in lines[0].split(",")):
-        del lines[0]  # the header
-    if not lines:
-        return None
-    commas = lines[0].count(",")
-    if set(map(methodcaller("count", ","), lines)) != {commas}:
-        return None
-    cells = map(float, chain.from_iterable(map(methodcaller("split", ","), lines)))
-    try:
-        matrix = np.fromiter(cells, np.float64, len(lines) * (commas + 1))
-    except ValueError:
-        return None
-    return matrix.reshape(len(lines), commas + 1)
+
+def _feature_cells(rows, width: int, ids: list[str] | None):
+    """Each row's feature cells, its id moved to ``ids`` if a list; ValueError at a ragged row."""
+    full = width + (ids is not None)
+    for row in rows:
+        if len(row) != full:
+            raise ValueError
+        if ids is not None:
+            ids.append(row.pop(0))
+        yield row
 
 
 def load_feature_csv(source, id_column: bool = False) -> tuple[list[str] | None, np.ndarray]:
@@ -348,40 +343,36 @@ def load_feature_csv(source, id_column: bool = False) -> tuple[list[str] | None,
     and skipped. When ``id_column`` is set, the first column holds row ids and
     the remaining columns the features.
 
-    Text with no ``"``, read without ``id_column``, goes through
-    `_split_matrix`, which splits each line on commas. Any other text, and
-    text that pass leaves undecided, is read row by row through `csv.reader`,
-    which names the first offending row or cell.
+    The rows stream into one conversion of every cell. A ragged row or a
+    non-numeric cell stops it, and only then does a second pass over the
+    rows name the first offending row or cell.
     """
     text = _read_text(source)
-    if '"' not in text and not id_column:
-        matrix = _split_matrix(text)
-        if matrix is not None:
-            return None, matrix
-    rows = [row for row in csv.reader(text.splitlines()) if row]
-    if not rows:
+    rows = _rows(text)
+    first = next(rows, None)
+    if first is None:
         raise ParseError("feature CSV is empty")
-    if all(_parse_float(cell) is None for cell in rows[0]):
-        rows = rows[1:]
-        if not rows:
+    header = all(_parse_float(cell) is None for cell in first)
+    if header:
+        first = next(rows, None)
+        if first is None:
             raise ParseError("feature CSV has a header but no data rows")
-    ids: list[str] | None = None
-    if id_column:
-        ids = [row[0] for row in rows]
-        rows = [row[1:] for row in rows]
-    width = len(rows[0])
+    width = len(first) - id_column
     if width < 1:
         raise ParseError("feature CSV has no feature columns")
-    matrix = np.empty((len(rows), width))
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise ParseError(f"feature CSV row {i} has {len(row)} columns, expected {width}")
-        for j, cell in enumerate(row):
-            value = _parse_float(cell)
-            if value is None:
+    ids = [] if id_column else None
+    cells = chain.from_iterable(_feature_cells(chain((first,), rows), width, ids))
+    try:
+        return ids, np.fromiter(map(float, cells), np.float64).reshape(-1, width)
+    except ValueError:
+        pass  # a ragged row or a non-numeric cell, which the second pass names
+    for i, row in enumerate(islice(_rows(text), header, None)):
+        cells = row[id_column:]
+        if len(cells) != width:
+            raise ParseError(f"feature CSV row {i} has {len(cells)} columns, expected {width}")
+        for j, cell in enumerate(cells):
+            if _parse_float(cell) is None:
                 raise ParseError(f"feature CSV cell ({i}, {j}) is not numeric: {cell!r}")
-            matrix[i, j] = value
-    return ids, matrix
 
 
 def build_instance(

@@ -541,6 +541,18 @@ class TestFeatureCsv:
     )
     def test_error_messages(self, text, message):
         assert parse_or_message(text) == message == reference_csv(text)
+        # the same faults in an id column's twin and in the fully quoted twin
+        lines = text.splitlines()
+        with_ids = "".join(f"r{i},{line}\n" for i, line in enumerate(lines))
+        quoted = "".join(",".join(f'"{cell}"' for cell in line.split(",")) + "\n" for line in lines)
+        assert parse_or_message(with_ids, True) == message == reference_csv(with_ids, True)
+        assert parse_or_message(quoted) == message == reference_csv(quoted)
+
+    @pytest.mark.parametrize("text", ["r0\nr1\n", '"r0"\n"r1"\n'])
+    def test_no_feature_columns(self, text):
+        # the first row, all ids, is a header; the second leaves no column besides its id
+        message = "feature CSV has no feature columns"
+        assert parse_or_message(text, True) == message == reference_csv(text, True)
 
     @pytest.mark.parametrize("id_column", [False, True])
     def test_quoted_and_unquoted_text_agree(self, id_column):
