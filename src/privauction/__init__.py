@@ -35,7 +35,6 @@ from .estimator import (
 )
 from .instances import (
     AuctionInstance,
-    Database,
     ValueInterval,
     canonicalize,
     filter_assumption1,

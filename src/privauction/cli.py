@@ -165,7 +165,8 @@ def cmd_run(instance_path, compare_opt, use_database, seed, output, arithmetic):
     if use_database:
         if database is None:
             raise ValidationError("instance file has no database block")
-        report["estimate"] = _json_float(evaluate(outcome.dclef, database.subset(rows), seed))
+        entries = tuple(map(database.__getitem__, rows))
+        report["estimate"] = _json_float(evaluate(outcome.dclef, entries, seed))
         report["seed"] = seed
 
     dclef = report["dclef"]

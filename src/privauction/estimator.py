@@ -5,8 +5,8 @@ A `Lef` interpolates each data entry toward the interval midpoint by a factor
 discrete (binary ``x``) member with the canonical noise scale tied to the
 residual weight, which is the only family the auction mechanism ever releases.
 
-All operations are pure given their inputs and an explicit seed; the random
-generator is always passed in, never global.
+All operations are pure given their inputs and an explicit seed; no global
+random state is read.
 """
 
 import math
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InstanceTooLarge, ParameterOutOfRange, ValidationError
 from .instances import (
-    AuctionInstance, Database, _check_database, _check_finite, _complement, _double, _json_float,
+    AuctionInstance, _check_database, _check_finite, _complement, _double, _json_float,
     _json_floats, scatter,
 )
 
@@ -52,17 +52,8 @@ def laplace_inverse_cdf(u: float, sigma: float) -> float:
     return -sigma * math.log(2.0 - 2.0 * u)
 
 
-def _draw_noise(sigma: float, rng) -> float:
-    """One Laplace draw via inverse CDF on a seeded 64-bit generator."""
-    if sigma == 0:
-        return 0.0
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    return laplace_inverse_cdf(float(rng.random()), float(sigma))
-
-
 def _entries_for(estimator, database) -> tuple:
-    entries = database.entries if isinstance(database, Database) else tuple(database)
+    entries = tuple(database)
     if len(entries) != estimator.n:
         raise DimensionMismatch(
             f"database has {len(entries)} entries, estimator expects {estimator.n}"
@@ -240,13 +231,18 @@ class Dclef:
         }
 
 
-def evaluate(lef: Lef | Dclef, database, rng) -> float:
-    """Sample the estimator on a database; deterministic for a fixed, nonnegative seed."""
-    if isinstance(rng, (int, np.integer)) and rng < 0:
+def evaluate(lef: Lef | Dclef, database: Sequence, seed: int) -> float:
+    """Sample the estimator on a database; deterministic for a fixed, nonnegative seed.
+
+    The database is any sequence, its entries checked as `parse_database` checks
+    them; the noise is one inverse-CDF Laplace draw from ``default_rng(seed)``.
+    """
+    if seed < 0:
         raise ValidationError("seed must be nonnegative")
     sigma = _double(lef.sigma)  # noise is drawn on doubles: beyond their range it is not finite
     _check_finite(sigma, "noise scale")
-    return lef.deterministic_part(database) + _draw_noise(sigma, rng)
+    mean = lef.deterministic_part(database)
+    return mean + laplace_inverse_cdf(np.random.default_rng(seed).random(), sigma)
 
 
 @dataclass(frozen=True)
@@ -283,11 +279,15 @@ def _heaviest_fitting(profits: Sequence, sizes: Sequence, fits) -> tuple:
     accumulated left to right; a branch is pruned when even all the remaining
     profit cannot beat the incumbent, and only a strict improvement at a leaf
     replaces it, so ties resolve to the lexicographically smallest witness.
-    Returns ``(profit, witness)``.
+    The remaining profit is summed right to left and can round below a leaf
+    it covers, so float profits keep ``n * 2^-52`` of their total as slack
+    (int and `Fraction` profits sum exactly). Returns ``(profit, witness)``.
     """
     n = len(profits)
     zero = profits[0] * 0
-    suffix = [zero] * (n + 1)
+    exact = all(isinstance(p, (int, Fraction)) for p in profits)
+    slack = zero if exact else n * 2.0**-52 * sum(profits)
+    suffix = [slack] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] + profits[i]
 
@@ -367,12 +367,12 @@ def _best_subset_within(wabs: Sequence, cap) -> tuple[int, ...]:
     """Heavy index subset whose total weight stays at or below ``cap``.
 
     Up to ``EXACT_INDEX_LIMIT`` items the exact search gives the heaviest
-    subset, the lexicographically smallest on ties. Beyond it,
-    first-fit-decreasing takes the items by descending weight, ties by index,
-    each one whose addition keeps the running total within ``cap``; up to
-    rounding, its gap to ``cap`` is below the smallest weight it rejects.
-    Either way the total as `Dclef.residual_weight` sums it, in index order,
-    is within ``cap``.
+    subset as index-order sums weigh it, also on rounded weights, and the
+    lexicographically smallest on ties. Beyond it, first-fit-decreasing takes
+    the items by descending weight, ties by index, each one whose addition
+    keeps the running total within ``cap``; up to rounding, its gap to ``cap``
+    is below the smallest weight it rejects. Either way the total as
+    `Dclef.residual_weight` sums it, in index order, is within ``cap``.
     """
     if len(wabs) <= EXACT_INDEX_LIMIT:
         return _heaviest_fitting(wabs, wabs, lambda size: size <= cap)[1]

@@ -23,7 +23,6 @@ from .errors import EmptyInstance, NotCanonical, ParseError, ValidationError
 __all__ = [
     "ValueInterval",
     "AuctionInstance",
-    "Database",
     "canonicalize",
     "filter_assumption1",
     "filter_survivors",
@@ -231,29 +230,6 @@ def _check_database(entries: tuple, interval: ValueInterval) -> None:
         lambda ds: lo <= min(ds) and max(ds) <= hi,
         "database entry at index {} lies outside the interval",
     )
-
-
-@dataclass(frozen=True)
-class Database:
-    """Private data entries, one per individual, each inside the interval."""
-
-    entries: tuple
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
-
-    @classmethod
-    def from_values(cls, values: Sequence, interval: ValueInterval) -> "Database":
-        entries = tuple(values)
-        _check_database(entries, interval)
-        return cls(entries)
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def subset(self, indices: Sequence[int]) -> "Database":
-        return Database(tuple(map(self.entries.__getitem__, indices)))
 
 
 def canonicalize(instance: AuctionInstance) -> tuple[AuctionInstance, tuple[int, ...]]:
@@ -498,8 +474,8 @@ def parse_instance(data: dict) -> AuctionInstance:
     return AuctionInstance(weights, unit_costs, budget, interval)
 
 
-def parse_database(data: dict, instance: AuctionInstance) -> Database | None:
-    """Extract the optional database block; None when absent."""
+def parse_database(data: dict, instance: AuctionInstance) -> tuple | None:
+    """The optional database block's entries, checked against the interval; None when absent."""
     raw = data.get("database")
     if raw is None:
         return None
@@ -508,7 +484,8 @@ def parse_database(data: dict, instance: AuctionInstance) -> Database | None:
         raise ValidationError(
             f"database length {len(entries)} does not match instance size {instance.n}"
         )
-    return Database.from_values(entries, instance.interval)
+    _check_database(entries, instance.interval)
+    return entries
 
 
 def _read_text(source) -> str:
@@ -536,15 +513,15 @@ def load_instance(source) -> AuctionInstance:
     return parse_instance(_load_json(source))
 
 
-def load_database(source, instance: AuctionInstance) -> Database | None:
+def load_database(source, instance: AuctionInstance) -> tuple | None:
     return parse_database(_load_json(source), instance)
 
 
-def save_instance(instance: AuctionInstance, target, database: Database | None = None) -> None:
-    """Write instance JSON; exact round trip for finite double values."""
+def save_instance(instance: AuctionInstance, target, database: Sequence | None = None) -> None:
+    """Write instance JSON, with ``database`` as its block; exact round trip for finite doubles."""
     data = instance.to_json()
     if database is not None:
-        data["database"] = _json_floats(database.entries)
+        data["database"] = _json_floats(database)
     text = json.dumps(data, sort_keys=True, indent=2) + "\n"
     if isinstance(target, (str, Path)):
         Path(target).write_text(text)

@@ -88,7 +88,18 @@ class SweepConfig:
     arithmetic_mode: str = "float"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_range", tuple(int(v) for v in self.n_range))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is str:
+                ok, kind = isinstance(value, str), "a string"
+            elif f.type is int:
+                ok, kind = _is_json_int(value), "an integer"
+            else:
+                pair = isinstance(value, (list, tuple)) and len(value) == 2
+                ok, kind = pair and all(map(_is_json_int, value)), "a list of two integers"
+            if not ok:
+                raise ValidationError(f"sweep config field {f.name!r} must be {kind}")
+        object.__setattr__(self, "n_range", tuple(self.n_range))
         lo, hi = self.n_range
         if not 2 <= lo <= hi:
             raise ValidationError("n_range must satisfy 2 <= lo <= hi")
@@ -113,20 +124,9 @@ class SweepConfig:
         """Config from parsed JSON; every field is optional and type-checked."""
         if not isinstance(data, dict):
             raise ValidationError("sweep config must be a JSON object")
-        types = {f.name: f.type for f in fields(cls)}
-        unknown = set(data) - set(types)
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValidationError(f"unknown sweep config fields: {sorted(unknown)}")
-        for key, value in data.items():
-            if types[key] is str:
-                ok, kind = isinstance(value, str), "a string"
-            elif types[key] is int:
-                ok, kind = _is_json_int(value), "an integer"
-            else:
-                ok = isinstance(value, list) and len(value) == 2 and all(map(_is_json_int, value))
-                kind = "a list of two integers"
-            if not ok:
-                raise ValidationError(f"sweep config field {key!r} must be {kind}")
         return cls(**data)
 
     def to_json(self) -> dict:
@@ -193,12 +193,7 @@ def generate_instance(config: SweepConfig, index: int) -> AuctionInstance:
         weights = _draw_weights(config.weight_distribution, n, rng)
         costs = _draw_costs(config.cost_distribution, n, rng)
         budget = _draw_budget(config, weights, costs, rng)
-        raw = AuctionInstance(
-            tuple(float(w) for w in weights),
-            tuple(float(v) for v in costs),
-            budget,
-            ValueInterval(0.0, 1.0),
-        )
+        raw = AuctionInstance(weights.tolist(), costs.tolist(), budget, ValueInterval(0.0, 1.0))
         try:
             canonical, _, _ = prepare(raw)
         except EmptyInstance:

@@ -22,6 +22,7 @@ from privauction import (
     tradeoff_construct,
 )
 from privauction.estimator import _best_subset_within, laplace_inverse_cdf
+from privauction.instances import parse_database
 
 from conftest import UNIT, as_lef, make_instance
 
@@ -108,13 +109,20 @@ class TestEvaluate:
         with pytest.raises(ValidationError):
             evaluate(lef, (1.5,), 0)
 
-    def test_generator_can_be_passed(self):
+    def test_seed_types(self):
         inst = make_instance([1], [1], 1, UNIT)
         lef = Lef(inst, (0.0,), 3.0)
-        rng = np.random.default_rng(9)
-        a = evaluate(lef, (0.5,), rng)
-        b = evaluate(lef, (0.5,), np.random.default_rng(9))
-        assert a == b
+        assert evaluate(lef, (0.5,), 9) == evaluate(lef, (0.5,), np.int64(9))
+        for seed in (-9, np.int64(-9)):
+            with pytest.raises(ValidationError, match="seed must be nonnegative"):
+                evaluate(lef, (0.5,), seed)
+
+    def test_any_sequence(self):
+        inst = make_instance([1, -2], [1, 1], 1, UNIT)
+        lef = Lef(inst, (1.0, 0.5), 1.0)
+        parsed = parse_database({"database": [0.25, 1]}, inst)
+        assert parsed == (0.25, 1.0)
+        assert evaluate(lef, [0.25, 1.0], 4) == evaluate(lef, parsed, 4)
 
     def test_negative_seed_rejected(self):
         inst = make_instance([1, 1], [1, 1], 1, UNIT)
@@ -390,7 +398,7 @@ class TestPrivacyIndexExact:
 
 
 class TestSharedSearch:
-    """The one exact search against plain enumeration, on exact arithmetic."""
+    """The one exact search against plain enumeration in the search's own arithmetic."""
 
     @given(inst=exact_instances(), data=st.data())
     @settings(max_examples=150, deadline=None)
@@ -436,6 +444,29 @@ class TestSharedSearch:
             assert (sum(wabs[i] for i in shielded), shielded) == expect
         hidden = tuple(i for i, xi in enumerate(tradeoff_construct(inst, alpha).x) if not xi)
         assert hidden == _best_subset_within(inst.abs_weights, alpha_cap)
+
+    @pytest.mark.parametrize(
+        "wabs, cap, witness",
+        [
+            # the heaviest set sums to 12.000000000000002, the next one to 12.0
+            ((2.3, 2.7, 2.9, 0.6, 2.1, 2.6, 2.8, 0.8, 2.0, 1.3), 12.06, (0, 1, 2, 7, 8, 9)),
+            # (2, 3, 4, 7) sums to the same 3.3000000000000003 and is lexicographically larger
+            ((0.8, 0.6, 2.9, 0.1, 0.2, 0.2, 1.8, 0.1), 3.3499999999999996, (0, 1, 6, 7)),
+        ],
+    )
+    def test_within_cap_rounded_witnesses(self, wabs, cap, witness):
+        assert _best_subset_within(wabs, cap) == witness
+
+    def test_within_cap_rounded(self):
+        # one-decimal weights: sums round, and the index-order float sum is the search's own
+        rng = np.random.default_rng(53)
+        for _ in range(600):
+            n = int(rng.integers(1, 13))
+            wabs = tuple(int(m) / 10 for m in rng.integers(1, 31, n))
+            cap = float(rng.uniform(0.2, 0.7)) * sum(wabs)
+            shielded = _best_subset_within(wabs, cap)
+            expect = enumerate_heaviest(wabs, lambda s: sum(wabs[i] for i in s) <= cap)
+            assert (sum(wabs[i] for i in shielded), shielded) == expect, (wabs, cap)
 
 
 class TestPrivacyIndexGreedy:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from privauction import (
     AuctionInstance,
-    Database,
     EmptyInstance,
     ParseError,
     ValidationError,
@@ -20,7 +19,9 @@ from privauction import (
     prepare,
     save_instance,
 )
-from privauction.instances import filter_survivors, parse_instance, scatter
+from privauction.instances import (
+    _check_database, filter_survivors, parse_database, parse_instance, scatter,
+)
 
 from conftest import UNIT, make_instance
 
@@ -419,7 +420,7 @@ class TestValidationParity:
             values, "database entry", lambda d: d < 0 or d > 1,
             "database entry at index {} lies outside the interval",
         )
-        assert error_message(lambda: Database.from_values(values, UNIT)) == expected
+        assert error_message(lambda: _check_database(values, UNIT)) == expected
 
     @given(values=MIXED_ENTRIES.map(lambda vs: [v for v in vs if type(v) is not Fraction]))
     @settings(max_examples=300, deadline=None)
@@ -645,8 +646,6 @@ class TestJsonIO:
         ],
     )
     def test_malformed_database_messages(self, database, n, error, message):
-        from privauction.instances import parse_database
-
         inst = make_instance([1] * n, [1] * n, 1)
         with pytest.raises(error) as caught:
             parse_database(json.loads(json.dumps({"database": database})), inst)
@@ -665,7 +664,7 @@ class TestJsonIO:
     )
     def test_database_from_values_messages(self, values, message):
         with pytest.raises(ValidationError) as caught:
-            Database.from_values(values, UNIT)
+            _check_database(values, UNIT)
         assert str(caught.value) == message
 
     def test_database_block(self, instance_file):
@@ -680,8 +679,7 @@ class TestJsonIO:
         }
         path = instance_file(data)
         inst = load_instance(path)
-        db = load_database(path, inst)
-        assert db.entries == (0.25, 1.0)
+        assert load_database(path, inst) == (0.25, 1.0)
 
     def test_database_out_of_interval(self, instance_file):
         from privauction.instances import load_database
@@ -701,10 +699,10 @@ class TestJsonIO:
 
 class TestDatabase:
     def test_bounds_enforced(self):
-        with pytest.raises(ValidationError):
-            Database.from_values([1.5], UNIT)
-        db = Database.from_values([0.0, 1.0, 0.5], UNIT)
-        assert db.n == 3
+        inst = make_instance([1, 1, 1], [1, 1, 1], 1)
+        with pytest.raises(ValidationError, match="database entry at index 1 lies outside"):
+            parse_database({"database": [0.0, 1.5, 0.5]}, inst)
+        assert parse_database({"database": [0, 1.0, 0.5]}, inst) == (0.0, 1.0, 0.5)
 
     def test_rational_view(self):
         from fractions import Fraction
@@ -761,7 +759,7 @@ class TestNumberRule:
     def test_int_instance_writes_floats(self):
         inst = AuctionInstance((1, -2), (0, 3), 2, ValueInterval(0, 1))
         buffer = io.StringIO()
-        save_instance(inst, buffer, Database((0, 1)))
+        save_instance(inst, buffer, [0, 1])
         data = json.loads(buffer.getvalue())
         assert data == {
             "weights": [1.0, -2.0], "unit_costs": [0.0, 3.0], "budget": 2.0,

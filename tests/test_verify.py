@@ -171,6 +171,22 @@ class TestSweepConfig:
         with pytest.raises(ValidationError, match="unknown sweep config"):
             SweepConfig.from_json({"instances": 5})
 
+    def test_python_api_checks_types(self):
+        # the constructor checks what from_json checks, and coerces nothing
+        assert SweepConfig(n_range=[3, 7]) == SweepConfig(n_range=(3, 7))
+        cases = [
+            ("n_range", (2.9, 4.99), "a list of two integers"),
+            ("n_range", ("2", "5"), "a list of two integers"),
+            ("n_range", (2, 5, 7), "a list of two integers"),
+            ("instance_count", 2.5, "an integer"),
+            ("rng_seed", True, "an integer"),
+            ("weight_distribution", 1, "a string"),
+        ]
+        for field, value, kind in cases:
+            with pytest.raises(ValidationError) as caught:
+                SweepConfig(**{field: value})
+            assert str(caught.value) == f"sweep config field {field!r} must be {kind}"
+
 
 class TestGenerateInstance:
     def test_deterministic(self):
